@@ -114,7 +114,7 @@ def test_fig10_report(benchmark, stream_slices):
     # Shape checks.  At this (deliberately small) stream scale the execution
     # engine's per-slice times are dominated by how many window tuples flow
     # through the first join, so the separation between the statically "good"
-    # and "bad" plans is much narrower than in the paper (see EXPERIMENTS.md).
+    # and "bad" plans is much narrower than in the paper.
     # The claims that survive scaling down: adaptive execution tracks the
     # better static plan within a modest factor, never collapses to the worst
     # behaviour, and produces identical answers.

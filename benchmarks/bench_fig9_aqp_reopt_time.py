@@ -70,7 +70,7 @@ def test_fig9_report(benchmark, stream_slices):
     # first), while the non-incremental optimizer keeps paying a full
     # optimization per slice.  The tolerances are wide because at this small
     # stream scale the 300-second window never fills, so statistics keep
-    # drifting for the entire run (see EXPERIMENTS.md).
+    # drifting for the entire run.
     third = SLICES // 3
     inc_first = sum(inc_ms[1:third]) / (third - 1)
     inc_last = sum(inc_ms[-third:]) / third

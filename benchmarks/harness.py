@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark suite.
 
 Each ``bench_*`` module reproduces one table or figure from the paper's
-evaluation (see DESIGN.md §4 for the index).  Benchmarks do two things:
+evaluation.  Benchmarks do two things:
 
 * time the relevant operation through ``pytest-benchmark`` (so
   ``pytest benchmarks/ --benchmark-only`` gives comparable timings), and
@@ -11,7 +11,7 @@ evaluation (see DESIGN.md §4 for the index).  Benchmarks do two things:
 
 Absolute numbers will not match the paper (different hardware, Python instead
 of Java/C++, scaled-down data); the *shape* of each series is what the
-reproduction targets — see EXPERIMENTS.md.
+reproduction targets.
 """
 
 from __future__ import annotations

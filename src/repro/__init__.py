@@ -69,7 +69,7 @@ from repro.relational import (
 from repro.sql import Session, SqlResult
 from repro.workloads import q3s, q5, q5s, q8join, q8joins, q10, tpch_catalog
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 __all__ = [
     # DB-API surface

@@ -294,6 +294,11 @@ class Database:
             "repro_plan_flips_total",
             "Re-optimizations that changed the physical plan shape.",
         )
+        self._aggregate_kernel_total = registry.counter(
+            "repro_aggregate_kernel_total",
+            "Hash aggregates computed by the typed kernels, or generically and why.",
+            label=("path", "reason"),
+        )
         from repro.engine.parallel.stats import parallel_stats
 
         # list(self._store) is an atomic copy under the GIL (same rationale
@@ -804,7 +809,9 @@ class Database:
         except ExecutionError as error:  # e.g. an invalid batch_size
             raise SqlError(str(error)) from error
         if trace is None:
-            return executor.execute(plan)
+            execution = executor.execute(plan)
+            self._count_aggregate_paths(execution)
+            return execution
         # The fan-out sink collects the parallel executors' per-morsel and
         # shm export/attach timings on this thread; they become children of
         # the execute span alongside the per-operator spans.
@@ -815,12 +822,18 @@ class Database:
                 execution = executor.execute(plan)
         finally:
             remove_fanout_sink()
+        self._count_aggregate_paths(execution)
         if execution.workers is not None:
             execute_span.attributes["workers"] = execution.workers
         if execution.executor is not None:
             execute_span.attributes["executor"] = execution.executor
         self._attach_operator_spans(trace, execute_span, plan, execution, fanout_events)
         return execution
+
+    def _count_aggregate_paths(self, execution: ExecutionResult) -> None:
+        for path in execution.aggregate_paths.values():
+            label = ("kernel", "") if path == "kernel" else ("generic", path)
+            self._aggregate_kernel_total.inc(label=label)
 
     def _attach_operator_spans(
         self,
@@ -857,6 +870,11 @@ class Database:
             worker_seconds = execution.operator_worker_seconds.get(operator_key)
             if worker_seconds is not None:
                 attributes["worker_seconds"] = worker_seconds
+            aggregate_path = execution.aggregate_paths.get(operator_key)
+            if aggregate_path is not None:
+                attributes["kernel"] = aggregate_path == "kernel"
+                if aggregate_path != "kernel":
+                    attributes["reason"] = aggregate_path
             seconds = execution.operator_timings.get(operator_key, 0.0)
             trace.add_span(
                 "operator", clock, clock + seconds, attributes=attributes, parent=parent

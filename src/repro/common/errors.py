@@ -31,6 +31,34 @@ class AdaptationError(ReproError):
     """The adaptive controller was asked to do something inconsistent."""
 
 
+class KernelRefused(ReproError):
+    """A typed aggregate kernel declined an input it cannot compute exactly.
+
+    Control flow between the buffer kernels (:mod:`repro.storage.buffers`),
+    the batch evaluator and the vectorized engine, which then runs its
+    generic Python path and reports ``reason`` — one of
+    :data:`REFUSAL_REASONS`.  It never reaches a caller of the public API.
+    """
+
+    def __init__(self, reason: str) -> None:
+        super().__init__(reason)
+        self.reason = reason
+
+
+#: Why an aggregate ran on the generic path (``repro_aggregate_kernel_total``'s
+#: ``reason`` label, the operator span's attribute, EXPLAIN ANALYZE's word).
+REFUSAL_REASONS = (
+    "no-numpy",  # numpy is not importable: no kernel exists
+    "small-input",  # fewer rows than array set-up is worth
+    "text-values",  # an aggregate input or arithmetic operand is not a typed buffer
+    "distinct",  # DISTINCT aggregates deduplicate through Python sets
+    "overflow-bound",  # int64 arithmetic or SUM could overflow where Python ints grow
+    "inexact-int",  # an int beyond 2**53 would round on its way through float64
+    "nan",  # a NaN (or, under MIN/MAX, a -0.0) whose Python ordering numpy does not reproduce
+    "missing",  # an aggregated column is absent from the child (reads as all-NULL)
+)
+
+
 class SqlError(ReproError):
     """Base class for errors raised by the SQL frontend.
 

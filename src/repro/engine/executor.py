@@ -26,6 +26,7 @@ from repro.relational.plan import PhysicalOperator, PhysicalPlan
 from repro.relational.predicates import JoinPredicate
 from repro.relational.query import AggregateFunction, Query
 from repro.storage import access
+from repro.storage.buffers import sequential_sum
 
 Row = Dict[str, object]
 Table = List[Row]
@@ -70,6 +71,11 @@ class ExecutionResult:
     #: the operator that fanned it out (operator_timings only measures the
     #: dispatching thread, which for a process pool is mostly waiting).
     operator_worker_seconds: Dict[str, float] = field(default_factory=dict)
+    #: per hash-aggregate operator (keyed like operator_timings): "kernel"
+    #: when the typed aggregate kernels computed it, else the reason
+    #: (repro.common.errors.REFUSAL_REASONS) it ran the generic path.  The
+    #: row engine, which has no kernels, leaves this empty.
+    aggregate_paths: Dict[str, str] = field(default_factory=dict)
 
     @property
     def row_count(self) -> int:
@@ -448,11 +454,11 @@ class PlanExecutor:
         if not values:
             return None
         if aggregate.function is AggregateFunction.SUM:
-            return sum(values)  # type: ignore[arg-type]
+            return sequential_sum(values)
         if aggregate.function is AggregateFunction.MIN:
             return min(values)
         if aggregate.function is AggregateFunction.MAX:
             return max(values)
         if aggregate.function is AggregateFunction.AVG:
-            return sum(values) / len(values)  # type: ignore[arg-type]
+            return sequential_sum(values) / len(values)
         raise ExecutionError(f"unsupported aggregate {aggregate.function}")

@@ -137,10 +137,6 @@ class ParallelExecutor(VectorizedExecutor):
     # -- scans -------------------------------------------------------------
 
     def _scan_column_table(self, stored: ColumnTable, alias: str, table: str) -> ColumnTable:
-        if self._prune_columns:
-            names = [column.column for column in self.query.columns_of_alias(alias)]
-        else:
-            names = list(stored.columns)
         filters = self.query.filters_for(alias)
         selection: Optional[List[int]] = None
         if filters:
@@ -174,17 +170,7 @@ class ParallelExecutor(VectorizedExecutor):
             selection = []
             for part in parts:  # merged in morsel order: serial-identical
                 selection.extend(part)
-        row_count = stored.row_count if selection is None else len(selection)
-        output: Dict[str, List[object]] = {}
-        for name in names:
-            values = stored.column(name)
-            if values is None:
-                output[f"{alias}.{name}"] = [None] * row_count
-            elif selection is None:
-                output[f"{alias}.{name}"] = values
-            else:
-                output[f"{alias}.{name}"] = gather_values(values, selection)
-        return ColumnTable(output, row_count)
+        return self._scan_output(stored, alias, selection)
 
     def _execute_scan(self, node: PhysicalPlan) -> ColumnTable:
         alias = node.expression.sole_alias
@@ -356,31 +342,7 @@ class ParallelExecutor(VectorizedExecutor):
             right_index.extend(right_part)
         return left_index, right_index
 
-    # -- aggregation -------------------------------------------------------
-
-    def _execute_aggregate(self, node: PhysicalPlan, result) -> ColumnTable:
-        child = self._execute_node(node.children[0], result)
-        group_columns = [str(column) for column in self.query.group_by]
-        single = len(group_columns) == 1
-        groups: Dict[object, List[int]] = {}
-        if not group_columns:
-            groups[()] = list(range(child.row_count))
-        else:
-            arrays = [self._key_column(child, name) for name in group_columns]
-            groups = self._build_groups(arrays, single, child.row_count)
-
-        group_indices = list(groups.values())
-        output: Dict[str, List[object]] = {}
-        if single:
-            output[group_columns[0]] = list(groups.keys())
-        elif group_columns:
-            for name, key_values in zip(group_columns, zip(*groups.keys())):
-                output[name] = list(key_values)
-        for aggregate in self.query.aggregates:
-            output[str(aggregate)] = self._aggregate_column_parallel(
-                aggregate, self._aggregate_input(aggregate, child), group_indices
-            )
-        return ColumnTable(output, len(groups))
+    # -- aggregation (VectorizedExecutor._execute_aggregate's two hooks) ----
 
     def _build_groups(
         self, arrays: List[Sequence[object]], single: bool, row_count: int

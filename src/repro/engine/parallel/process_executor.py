@@ -45,7 +45,6 @@ from repro.engine.vectorized.columns import (
     DEFAULT_BATCH_SIZE,
     ColumnTable,
     TableView,
-    gather_values,
 )
 from repro.relational import scalar
 from repro.relational.plan import PhysicalPlan
@@ -158,23 +157,9 @@ class ProcessParallelExecutor(ParallelExecutor):
             if computed is _FALLBACK:
                 return super()._scan_column_table(stored, alias, table)
             selection = computed
-        # Output assembly is the parent's, verbatim: gather parent-side from
+        # Output assembly is the serial engine's: gather parent-side from
         # the merged selection.
-        if self._prune_columns:
-            names = [column.column for column in self.query.columns_of_alias(alias)]
-        else:
-            names = list(stored.columns)
-        row_count = stored.row_count if selection is None else len(selection)
-        output: Dict[str, List[object]] = {}
-        for name in names:
-            values = stored.column(name)
-            if values is None:
-                output[f"{alias}.{name}"] = [None] * row_count
-            elif selection is None:
-                output[f"{alias}.{name}"] = values
-            else:
-                output[f"{alias}.{name}"] = gather_values(values, selection)
-        return ColumnTable(output, row_count)
+        return self._scan_output(stored, alias, selection)
 
     def _process_scan_selection(self, stored: ColumnTable, alias: str, filters):
         """The scan's merged selection vector via worker processes.

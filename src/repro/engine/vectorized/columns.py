@@ -23,6 +23,7 @@ from repro.storage.buffers import (
     BufferTypeError,
     column_values,
     copy_column,
+    gather_typed,
     gather_values,
     make_column,
 )
@@ -42,6 +43,7 @@ __all__ = [
     "TableView",
     "column_values",
     "copy_column",
+    "gather_typed",
     "gather_values",
 ]
 
@@ -163,14 +165,26 @@ class TableView:
     def of_table(cls, table: ColumnTable) -> "TableView":
         return cls([(table, None)], table.row_count)
 
-    def column(self, name: str) -> Optional[List[object]]:
-        """Gather one column across the view, or ``None`` if unknown."""
+    def column(self, name: str, typed: bool = False) -> Optional[List[object]]:
+        """Gather one column across the view, or ``None`` if unknown.
+
+        With *typed*, a typed buffer is gathered into a typed buffer (the
+        aggregate kernels' input) instead of a list of Python values.
+        """
         for table, index in self.sources:
             values = table.column(name)
             if values is not None:
                 if index is None:
                     return values
-                return gather_values(values, index)
+                return gather_typed(values, index) if typed else gather_values(values, index)
+        return None
+
+    def base_column(self, name: str) -> Optional[List[object]]:
+        """The source table's (ungathered) array behind *name*, or ``None``."""
+        for table, _ in self.sources:
+            values = table.column(name)
+            if values is not None:
+                return values
         return None
 
     def column_names(self) -> List[str]:

@@ -15,7 +15,9 @@ of per-row dicts:
   copied through the join cascade — only key columns are gathered, and
   non-equi (theta) predicates fall back to residual evaluation over the
   gathered predicate columns;
-* grouped aggregation scans the grouping arrays batch-wise into per-group
+* grouped aggregation runs in the typed buffers' numpy kernels (group ids,
+  elementwise arithmetic, grouped COUNT/SUM/AVG/MIN/MAX) wherever those are
+  exact, and otherwise scans the grouping arrays batch-wise into per-group
   index lists and aggregates each group straight off the value columns;
 * the ORDER BY enforcer sorts an index permutation and re-indexes the view.
 
@@ -36,12 +38,14 @@ import time
 from collections import defaultdict
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.common.errors import ExecutionError
+from repro.common.errors import ExecutionError, KernelRefused
 from repro.engine.executor import ExecutionResult
 from repro.engine.vectorized.columns import (
     DEFAULT_BATCH_SIZE,
     ColumnTable,
     TableView,
+    column_values,
+    gather_typed,
     gather_values,
 )
 from repro.relational import scalar
@@ -49,6 +53,7 @@ from repro.relational.plan import PhysicalOperator, PhysicalPlan
 from repro.relational.predicates import JoinPredicate
 from repro.relational.query import AggregateFunction, Query
 from repro.storage import access
+from repro.storage.buffers import TypedColumn, group_rows, require_kernels, sequential_sum
 
 
 class VectorizedExecutor:
@@ -337,10 +342,6 @@ class VectorizedExecutor:
         filter on a column absent from the store raises, while a merely
         referenced absent column reads as NULL.
         """
-        if self._prune_columns:
-            names = [column.column for column in self.query.columns_of_alias(alias)]
-        else:
-            names = list(stored.columns)
         filters = self.query.filters_for(alias)
         selection: Optional[List[int]] = None
         if filters:
@@ -374,6 +375,20 @@ class VectorizedExecutor:
                     f"filter references column {error.ref.column!r} which is "
                     f"absent from the data for alias {alias!r} (table {table!r})"
                 ) from error
+        return self._scan_output(stored, alias, selection)
+
+    def _scan_output(
+        self, stored: ColumnTable, alias: str, selection: Optional[List[int]]
+    ) -> ColumnTable:
+        """The scan's referenced columns at *selection* (``None``: all rows, zero-copy).
+
+        Typed buffers are gathered into typed buffers, so the aggregate
+        above can hand them to the buffer kernels as they are.
+        """
+        if self._prune_columns:
+            names = [column.column for column in self.query.columns_of_alias(alias)]
+        else:
+            names = list(stored.columns)
         row_count = stored.row_count if selection is None else len(selection)
         output: Dict[str, List[object]] = {}
         for name in names:
@@ -383,7 +398,7 @@ class VectorizedExecutor:
             elif selection is None:
                 output[f"{alias}.{name}"] = values
             else:
-                output[f"{alias}.{name}"] = gather_values(values, selection)
+                output[f"{alias}.{name}"] = gather_typed(values, selection)
         return ColumnTable(output, row_count)
 
     # ------------------------------------------------------------------
@@ -398,6 +413,7 @@ class VectorizedExecutor:
         values = child.column(str(column))
         if values is None:
             return child  # row engine sorts on all-None keys: stable no-op
+        values = column_values(values)  # a typed buffer indexes slowly per row
         order = sorted(
             range(child.row_count), key=lambda index: (values[index] is None, values[index])
         )
@@ -534,10 +550,10 @@ class VectorizedExecutor:
         name = str(column)
         values = left.column(name)
         if values is not None:
-            return [values[i] for i in left_index]
+            return gather_values(values, left_index)
         stored_values = stored.column(column.column)
         if stored_values is not None:
-            return [stored_values[i] for i in cand_ids]
+            return gather_values(stored_values, cand_ids)
         return [None] * len(cand_ids)
 
     def _apply_inner_residual(
@@ -713,10 +729,10 @@ class VectorizedExecutor:
         name = str(column)
         values = left.column(name)
         if values is not None:
-            return [values[i] for i in left_index]
+            return gather_values(values, left_index)
         values = right.column(name)
         if values is not None:
-            return [values[i] for i in right_index]
+            return gather_values(values, right_index)
         return [None] * len(left_index)
 
     # ------------------------------------------------------------------
@@ -724,22 +740,30 @@ class VectorizedExecutor:
     # ------------------------------------------------------------------
 
     def _execute_aggregate(self, node: PhysicalPlan, result: ExecutionResult) -> ColumnTable:
+        """Grouped aggregation — one body for the serial, thread and process executors.
+
+        The typed kernels (:mod:`repro.storage.buffers`) get the first try,
+        on the calling thread.  When they refuse, the generic path runs:
+        group index lists from :meth:`_build_groups`, one output column per
+        aggregate from :meth:`_aggregate_column_parallel` — the two places
+        the parallel executors fan out.  Either way the rows are the row
+        engine's, byte for byte.
+        """
         child = self._execute_node(node.children[0], result)
         group_columns = [str(column) for column in self.query.group_by]
-        groups: Dict[object, List[int]] = defaultdict(list)
+        try:
+            table = self._aggregate_with_kernels(child, group_columns)
+        except KernelRefused as refusal:
+            result.aggregate_paths[self._current_operator_key] = refusal.reason
+        else:
+            result.aggregate_paths[self._current_operator_key] = "kernel"
+            return table
         single = len(group_columns) == 1
         if not group_columns:
-            groups[()] = list(range(child.row_count))
+            groups: Dict[object, List[int]] = {(): list(range(child.row_count))}
         else:
             arrays = [self._key_column(child, name) for name in group_columns]
-            batch_size = self.batch_size
-            for start in range(0, child.row_count, batch_size):
-                if single:
-                    keys: Sequence[object] = arrays[0][start : start + batch_size]
-                else:
-                    keys = list(zip(*(array[start : start + batch_size] for array in arrays)))
-                for position, key in enumerate(keys, start):
-                    groups[key].append(position)
+            groups = self._build_groups(arrays, single, child.row_count)
 
         # Build the output columnar directly: transpose the group keys in one
         # pass and produce each aggregate column with bulk comprehensions.
@@ -751,30 +775,99 @@ class VectorizedExecutor:
             for name, key_values in zip(group_columns, zip(*groups.keys())):
                 output[name] = list(key_values)
         for aggregate in self.query.aggregates:
-            output[str(aggregate)] = self._aggregate_column(
-                aggregate, self._aggregate_input(aggregate, child), group_indices
+            output[str(aggregate)] = self._aggregate_column_parallel(
+                aggregate,
+                self._aggregate_input(aggregate, child.column, child.row_count),
+                group_indices,
             )
         return ColumnTable(output, len(groups))
 
-    def _aggregate_input(self, aggregate, child: TableView) -> Optional[Sequence[object]]:
+    def _aggregate_with_kernels(self, child: TableView, group_columns: List[str]) -> ColumnTable:
+        """The operator's output from the typed kernels, or :class:`KernelRefused`.
+
+        All or nothing: one input the kernels cannot take exactly sends the
+        whole operator down the generic path, so it reports one reason.
+        """
+        require_kernels(child.row_count)
+        for aggregate in self.query.aggregates:
+            if aggregate.distinct:
+                raise KernelRefused("distinct")
+            # Decided on the source arrays, before anything is gathered or
+            # grouped for nothing: every aggregated column is a typed buffer.
+            if aggregate.expr is not None:
+                inputs = [str(ref) for ref in scalar.columns_of(aggregate.expr)]
+            else:
+                inputs = [] if aggregate.column is None else [str(aggregate.column)]
+            for name in inputs:
+                source = child.base_column(name)
+                if source is None:
+                    raise KernelRefused("missing")
+                if not isinstance(source, TypedColumn):
+                    raise KernelRefused("text-values")
+        gathered: Dict[str, Optional[Sequence[object]]] = {}
+
+        def column(name: str) -> Optional[Sequence[object]]:
+            if name not in gathered:  # each view column is gathered once
+                gathered[name] = child.column(name, typed=True)
+            return gathered[name]
+
+        keys = [column(name) for name in group_columns]
+        keys = [[None] * child.row_count if values is None else values for values in keys]
+        grouping = group_rows(keys, child.row_count)
+        output: Dict[str, List[object]] = {
+            name: gather_values(values, grouping.first_rows)
+            for name, values in zip(group_columns, keys)
+        }
+        for aggregate in self.query.aggregates:
+            values = self._aggregate_input(aggregate, column, child.row_count, keep_typed=True)
+            output[str(aggregate)] = grouping.aggregate(aggregate.function.value, values)
+        return ColumnTable(output, grouping.count)
+
+    def _build_groups(
+        self, arrays: List[Sequence[object]], single: bool, row_count: int
+    ) -> Dict[object, List[int]]:
+        """Group key → row positions, keys in first-appearance order."""
+        groups: Dict[object, List[int]] = defaultdict(list)
+        batch_size = self.batch_size
+        for start in range(0, row_count, batch_size):
+            if single:
+                keys: Sequence[object] = arrays[0][start : start + batch_size]
+            else:
+                keys = list(zip(*(array[start : start + batch_size] for array in arrays)))
+            for position, key in enumerate(keys, start):
+                groups[key].append(position)
+        return groups
+
+    def _aggregate_column_parallel(
+        self, aggregate, values: Optional[Sequence[object]], group_indices: List[List[int]]
+    ) -> List[object]:
+        """One aggregate's output column; the parallel executors fan this out."""
+        return self._aggregate_column(aggregate, values, group_indices)
+
+    def _aggregate_input(
+        self, aggregate, column, row_count: int, keep_typed: bool = False
+    ) -> Optional[Sequence[object]]:
         """The aggregate's input values aligned with the child's row positions.
 
-        ``None`` for ``COUNT(*)`` (and for a plain column absent from the
-        child, which the aggregation paths read as all-NULL).  Expression
+        *column* fetches a child column by name (``None`` when absent).
+        Returns ``None`` for ``COUNT(*)`` (and for a plain column absent from
+        the child, which the aggregation paths read as all-NULL).  Expression
         aggregates evaluate batch-wise over the child's columns in row order,
-        so float summation order still matches the row engine.
+        so float summation order still matches the row engine; with
+        *keep_typed* they stay typed buffers or raise
+        :class:`KernelRefused`.
         """
         if aggregate.expr is not None:
 
             def resolve(ref) -> Sequence[object]:
-                values = child.column(str(ref))
+                values = column(str(ref))
                 if values is None:
                     raise scalar.MissingColumnError(ref)
                 return values
 
             try:
                 return scalar.evaluate_batch(
-                    aggregate.expr, resolve, range(child.row_count), self.parameters
+                    aggregate.expr, resolve, range(row_count), self.parameters, keep_typed
                 )
             except scalar.MissingColumnError as error:
                 raise ExecutionError(
@@ -783,7 +876,7 @@ class VectorizedExecutor:
                 ) from error
         if aggregate.column is None:
             return None
-        return child.column(str(aggregate.column))
+        return column(str(aggregate.column))
 
     @staticmethod
     def _aggregate_column(
@@ -818,7 +911,8 @@ class VectorizedExecutor:
         if clean and not distinct:
             if function is AggregateFunction.SUM:
                 return [
-                    sum(gather_values(values, ix)) if ix else None for ix in group_indices
+                    sequential_sum(gather_values(values, ix)) if ix else None
+                    for ix in group_indices
                 ]
             if function is AggregateFunction.MIN:
                 return [
@@ -830,18 +924,18 @@ class VectorizedExecutor:
                 ]
             if function is AggregateFunction.AVG:
                 return [
-                    sum(gather_values(values, ix)) / len(ix) if ix else None
+                    sequential_sum(gather_values(values, ix)) / len(ix) if ix else None
                     for ix in group_indices
                 ]
         if function is AggregateFunction.SUM:
-            final = sum
+            final = sequential_sum
         elif function is AggregateFunction.MIN:
             final = min
         elif function is AggregateFunction.MAX:
             final = max
         elif function is AggregateFunction.AVG:
             def final(gathered):
-                return sum(gathered) / len(gathered)
+                return sequential_sum(gathered) / len(gathered)
         else:  # pragma: no cover - defensive
             raise ExecutionError(f"unsupported aggregate {function}")
         out: List[object] = []

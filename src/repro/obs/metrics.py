@@ -24,7 +24,10 @@ import math
 import re
 import threading
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+
+#: a label name / a series' label value — or a tuple of them (several dimensions).
+Label = Union[str, Tuple[str, ...], None]
 
 #: per-metric cap on distinct label values; overflow collapses into one bucket
 #: so an unbounded statement-shape space cannot grow the registry without bound.
@@ -55,17 +58,21 @@ def _unescape_label_value(value: str) -> str:
 
 
 class _Instrument:
-    """Shared plumbing: name/help, one optional label dimension, the lock."""
+    """Shared plumbing: name/help, the label dimension(s), the lock.
+
+    ``label`` names one dimension; a tuple of names declares several, and a
+    series is then addressed by the tuple of its values (``""`` = unset).
+    """
 
     kind = "untyped"
 
-    def __init__(self, name: str, help_text: str, label: Optional[str], lock: threading.RLock):
+    def __init__(self, name: str, help_text: str, label: Label, lock: threading.RLock):
         self.name = sanitize_metric_name(name)
         self.help = help_text
         self.label = label
         self._lock = lock
 
-    def _bucket(self, values: Dict[Optional[str], Any], label: Optional[str]) -> Optional[str]:
+    def _bucket(self, values: Dict[Label, Any], label: Label) -> Label:
         """Resolve the storage key for *label*, applying the cardinality cap."""
         if label is None:
             return None
@@ -77,16 +84,16 @@ class _Instrument:
 class Counter(_Instrument):
     kind = "counter"
 
-    def __init__(self, name: str, help_text: str, label: Optional[str], lock: threading.RLock):
+    def __init__(self, name: str, help_text: str, label: Label, lock: threading.RLock):
         super().__init__(name, help_text, label, lock)
         self._values: Dict[Optional[str], float] = {}
 
-    def inc(self, amount: float = 1.0, label: Optional[str] = None) -> None:
+    def inc(self, amount: float = 1.0, label: Label = None) -> None:
         with self._lock:
             key = self._bucket(self._values, label)
             self._values[key] = self._values.get(key, 0.0) + amount
 
-    def value(self, label: Optional[str] = None) -> float:
+    def value(self, label: Label = None) -> float:
         with self._lock:
             return self._values.get(label, 0.0)
 
@@ -102,23 +109,23 @@ class Counter(_Instrument):
 class Gauge(_Instrument):
     kind = "gauge"
 
-    def __init__(self, name: str, help_text: str, label: Optional[str], lock: threading.RLock):
+    def __init__(self, name: str, help_text: str, label: Label, lock: threading.RLock):
         super().__init__(name, help_text, label, lock)
         self._values: Dict[Optional[str], float] = {}
 
-    def set(self, value: float, label: Optional[str] = None) -> None:
+    def set(self, value: float, label: Label = None) -> None:
         with self._lock:
             self._values[self._bucket(self._values, label)] = value
 
-    def inc(self, amount: float = 1.0, label: Optional[str] = None) -> None:
+    def inc(self, amount: float = 1.0, label: Label = None) -> None:
         with self._lock:
             key = self._bucket(self._values, label)
             self._values[key] = self._values.get(key, 0.0) + amount
 
-    def dec(self, amount: float = 1.0, label: Optional[str] = None) -> None:
+    def dec(self, amount: float = 1.0, label: Label = None) -> None:
         self.inc(-amount, label=label)
 
-    def value(self, label: Optional[str] = None) -> float:
+    def value(self, label: Label = None) -> float:
         with self._lock:
             return self._values.get(label, 0.0)
 
@@ -133,11 +140,11 @@ class Histogram(_Instrument):
     kind = "histogram"
     quantiles = (0.5, 0.95, 0.99)
 
-    def __init__(self, name: str, help_text: str, label: Optional[str], lock: threading.RLock):
+    def __init__(self, name: str, help_text: str, label: Label, lock: threading.RLock):
         super().__init__(name, help_text, label, lock)
         self._series: Dict[Optional[str], Dict[str, Any]] = {}
 
-    def observe(self, value: float, label: Optional[str] = None) -> None:
+    def observe(self, value: float, label: Label = None) -> None:
         with self._lock:
             key = self._bucket(self._series, label)
             series = self._series.get(key)
@@ -184,7 +191,7 @@ class MetricsRegistry:
 
     # -- construction (idempotent by name) ------------------------------
 
-    def _get_or_create(self, cls, name: str, help_text: str, label: Optional[str]):
+    def _get_or_create(self, cls, name: str, help_text: str, label: Label):
         with self._lock:
             existing = self._instruments.get(name)
             if existing is not None:
@@ -198,13 +205,13 @@ class MetricsRegistry:
             self._instruments[name] = instrument
             return instrument
 
-    def counter(self, name: str, help_text: str = "", label: Optional[str] = None) -> Counter:
+    def counter(self, name: str, help_text: str = "", label: Label = None) -> Counter:
         return self._get_or_create(Counter, name, help_text, label)
 
-    def gauge(self, name: str, help_text: str = "", label: Optional[str] = None) -> Gauge:
+    def gauge(self, name: str, help_text: str = "", label: Label = None) -> Gauge:
         return self._get_or_create(Gauge, name, help_text, label)
 
-    def histogram(self, name: str, help_text: str = "", label: Optional[str] = None) -> Histogram:
+    def histogram(self, name: str, help_text: str = "", label: Label = None) -> Histogram:
         return self._get_or_create(Histogram, name, help_text, label)
 
     def register_provider(self, name: str, fn: Callable[[], Any]) -> None:
@@ -227,14 +234,12 @@ class MetricsRegistry:
         for instrument in instruments:
             if isinstance(instrument, Histogram):
                 values: Dict[str, Any] = {
-                    (key if key is not None else ""): series
-                    for key, series in instrument.snapshot().items()
+                    _series_key(key): series for key, series in instrument.snapshot().items()
                 }
                 section = "histograms"
             else:
                 values = {
-                    (key if key is not None else ""): value
-                    for key, value in instrument.values().items()
+                    _series_key(key): value for key, value in instrument.values().items()
                 }
                 section = "counters" if isinstance(instrument, Counter) else "gauges"
             out[section][instrument.name] = {
@@ -264,19 +269,19 @@ class MetricsRegistry:
             lines.append(f"# HELP {name} {entry['help']}")
             lines.append(f"# TYPE {name} counter")
             for key, value in sorted(entry["values"].items()):
-                labels = {entry["label"]: key} if entry["label"] and key != "" else {}
+                labels = _series_labels(entry["label"], key)
                 sample(name, labels, value)
         for name, entry in snapshot["gauges"].items():
             lines.append(f"# HELP {name} {entry['help']}")
             lines.append(f"# TYPE {name} gauge")
             for key, value in sorted(entry["values"].items()):
-                labels = {entry["label"]: key} if entry["label"] and key != "" else {}
+                labels = _series_labels(entry["label"], key)
                 sample(name, labels, value)
         for name, entry in snapshot["histograms"].items():
             lines.append(f"# HELP {name} {entry['help']}")
             lines.append(f"# TYPE {name} summary")
             for key, series in sorted(entry["values"].items()):
-                labels = {entry["label"]: key} if entry["label"] and key != "" else {}
+                labels = _series_labels(entry["label"], key)
                 for quantile in Histogram.quantiles:
                     sample(name, {**labels, "quantile": str(quantile)}, series[f"p{int(quantile * 100)}"])
                 sample(f"{name}_sum", labels, series["sum"])
@@ -289,6 +294,22 @@ class MetricsRegistry:
                 lines.append(f"# TYPE {name} gauge")
                 sample(name, {}, float(leaf))
         return "\n".join(lines) + "\n"
+
+
+def _series_key(key: Any) -> str:
+    """A series' label value(s) as one JSON-friendly string."""
+    if key is None:
+        return ""
+    return ",".join(key).rstrip(",") if isinstance(key, tuple) else key  # trailing unset values drop
+
+
+def _series_labels(names: Any, key: str) -> Dict[str, str]:
+    """Exposition labels of one series from :func:`_series_key`'s string."""
+    if not names or key == "":
+        return {}
+    if isinstance(names, str):
+        return {names: key}
+    return {name: value for name, value in zip(names, key.split(",")) if value}
 
 
 def _format_value(value: float) -> str:

@@ -49,7 +49,7 @@ from typing import (
     Union,
 )
 
-from repro.common.errors import QueryError
+from repro.common.errors import KernelRefused, QueryError
 from repro.relational.expressions import ColumnRef
 
 # ---------------------------------------------------------------------------
@@ -886,6 +886,7 @@ def evaluate_batch(
     resolve: Resolve,
     indices: Sequence[int],
     parameters: Optional[Sequence[object]] = None,
+    keep_typed: bool = False,
 ) -> List[object]:
     """Evaluate the expression over column arrays at the given positions.
 
@@ -895,7 +896,27 @@ def evaluate_batch(
     all.  Array entries may be :data:`MISSING` for ragged row data — reading
     one raises, matching the row backend.  Returns one value per entry of
     *indices*, in order.
+
+    Column/constant/negation/arithmetic trees whose columns all resolve to
+    typed buffers (:class:`repro.storage.buffers.TypedColumn`, probed by
+    ``getattr`` like :func:`compile_filter`'s ``filter_*``) evaluate in the
+    buffers' numpy kernels; a kernel refuses wherever it could differ from
+    the per-value code below, which then runs as if nothing had been tried.
+    With *keep_typed* — the aggregate kernels' way in — the result is the
+    typed buffer itself and a tree the kernels cannot take raises
+    :class:`~repro.common.errors.KernelRefused` instead of evaluating twice.
     """
+    if keep_typed or isinstance(expr, (Column, Negate, Arithmetic)):
+        try:
+            typed = _typed_operand(expr, resolve, indices, parameters)
+        except KernelRefused:
+            if keep_typed:
+                raise
+            typed = _UNTYPED
+        if hasattr(typed, "arith"):  # a buffer, not a folded constant
+            return typed if keep_typed else typed.tolist()
+        if keep_typed:
+            raise KernelRefused("text-values")
     count = len(indices)
     if isinstance(expr, Literal):
         return [expr.value] * count
@@ -971,6 +992,48 @@ def evaluate_batch(
         combine = _and3 if isinstance(expr, And) else _or3
         return [combine(row_values) for row_values in zip(*columns)]
     raise QueryError(f"unsupported scalar expression {expr!r}")  # pragma: no cover
+
+
+#: :func:`_typed_operand`'s "the typed kernels do not cover this subtree".
+_UNTYPED = object()
+_NUMBERS = (int, float)
+
+
+def _typed_operand(
+    expr: ScalarExpr,
+    resolve: Resolve,
+    indices: Sequence[int],
+    parameters: Optional[Sequence[object]],
+) -> object:
+    """The subtree as a typed buffer or numeric constant, else ``_UNTYPED``.
+
+    Buffers are whatever *resolve* hands back that has the kernel methods
+    (``take`` / ``negate`` / ``arith``); they never hold :data:`MISSING`.
+    """
+    if isinstance(expr, Column):
+        take = getattr(resolve(expr.ref), "take", None)
+        taken = take(indices) if take is not None else None
+        return _UNTYPED if taken is None else taken
+    if isinstance(expr, (Literal, Parameter)):
+        value = _constant_of(expr, parameters)
+        return value if type(value) in _NUMBERS else _UNTYPED
+    if isinstance(expr, Negate):
+        inner = _typed_operand(expr.operand, resolve, indices, parameters)
+        if inner is _UNTYPED:
+            return _UNTYPED
+        return -inner if type(inner) in _NUMBERS else inner.negate()
+    if isinstance(expr, Arithmetic):
+        left = _typed_operand(expr.left, resolve, indices, parameters)
+        right = _typed_operand(expr.right, resolve, indices, parameters)
+        if left is _UNTYPED or right is _UNTYPED:
+            return _UNTYPED
+        if type(left) not in _NUMBERS:
+            return left.arith(expr.op.value, right)
+        if type(right) not in _NUMBERS:
+            return right.arith(expr.op.value, left, True)
+        folded = _ARITHMETIC[expr.op](left, right)
+        return _UNTYPED if folded is None else folded
+    return _UNTYPED
 
 
 def filter_batch(

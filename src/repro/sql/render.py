@@ -81,4 +81,9 @@ def explain_footer(execution: ExecutionResult) -> str:
         footer += f", workers={execution.workers}"
     if execution.executor is not None:
         footer += f", executor={execution.executor}"
+    # Operator lines are the same on every engine; how the vectorized
+    # engines computed the (one) hash aggregate is an engine fact, so it
+    # lives here: the typed kernels, or the generic path and why.
+    for path in execution.aggregate_paths.values():
+        footer += f", aggregate={'kernel' if path == 'kernel' else f'generic({path})'}"
     return footer

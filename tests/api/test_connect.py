@@ -1,5 +1,8 @@
 """End-to-end tests for the DB-API surface: connect → Connection → Cursor."""
 
+import os
+import re
+
 import pytest
 
 import repro
@@ -36,6 +39,17 @@ class TestConnect:
         for name in ("connect", "Database", "Connection", "Cursor", "SqlError"):
             assert name in repro.__all__
             assert hasattr(repro, name)
+
+    def test_version_has_one_source(self):
+        """``pyproject.toml`` reads ``repro.__version__``; a literal there drifts."""
+        root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        with open(os.path.join(root, "pyproject.toml")) as handle:
+            text = handle.read()
+        project = text.split("[project]")[1].split("\n[")[0]
+        assert not re.search(r"^version\s*=", project, re.MULTILINE), "literal version is back"
+        assert re.search(r'^dynamic\s*=\s*\[[^\]]*"version"', project, re.MULTILINE)
+        assert re.search(r'version\s*=\s*\{\s*attr\s*=\s*"repro\.__version__"', text)
+        assert re.fullmatch(r"\d+\.\d+\.\d+", repro.__version__)
 
     def test_database_hands_out_more_connections(self, conn):
         other = conn.database.connect()

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.common.errors import REFUSAL_REASONS, KernelRefused
 from repro.engine.vectorized.columns import ColumnTable
 from repro.storage import buffers
 from repro.storage.buffers import (
@@ -342,3 +343,291 @@ def test_randomized_kernel_equivalence():
                 constant,
                 flipped,
             )
+
+
+# ---------------------------------------------------------------------------
+# Aggregate kernels: typed gather, arithmetic, grouping, grouped aggregates
+# ---------------------------------------------------------------------------
+
+needs_numpy = pytest.mark.skipif(buffers._np is None, reason="the kernels need numpy")
+
+#: every kernel input below has at least this many rows (a multiple of 12)
+ROWS = -(-2 * buffers.KERNEL_MIN_ROWS // 12) * 12
+
+ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def typed(kind, values):
+    column = TypedColumn(kind)
+    column.extend(values)
+    return column
+
+
+def reference_arith(op, left, right):
+    """``scalar.evaluate_batch``'s per-value semantics (NULL in, NULL out; x/0 NULL)."""
+    out = []
+    for lv, rv in zip(left, right):
+        if lv is None or rv is None:
+            out.append(None)
+        elif op == "/":
+            out.append(None if rv == 0 else lv / rv)
+        else:
+            out.append(ARITH[op](lv, rv))
+    return out
+
+
+def refusal(call, *args):
+    with pytest.raises(KernelRefused) as caught:
+        call(*args)
+    assert caught.value.reason in REFUSAL_REASONS  # the vocabulary is closed
+    return caught.value.reason
+
+
+def same_values(got, expected):
+    """Equal including type, NaN-ness and the sign of zero (what ``repr`` shows)."""
+    return repr(got) == repr(expected)
+
+
+@needs_numpy
+def test_take_is_a_typed_gather():
+    column = typed(FLOAT, [None if i % 7 == 0 else i / 4 for i in range(ROWS)])
+    picks = [ROWS - 1, 0, 7, 8, 8, 3] * (ROWS // 6)
+    taken = column.take(picks)
+    assert isinstance(taken, TypedColumn) and taken.kind == FLOAT
+    assert taken.tolist() == [column[i] for i in picks]
+    assert taken.null_count == sum(1 for i in picks if column[i] is None)
+    assert column.take(range(10, ROWS - 9)).tolist() == column.tolist()[10 : ROWS - 9]
+    assert column.take(range(len(column))) is column  # whole column: zero-copy
+    assert column.take(range(3)) is None  # below KERNEL_MIN_ROWS: the caller gathers a list
+    assert isinstance(buffers.gather_typed(column, picks), TypedColumn)
+    assert buffers.gather_typed(column, [1, 2]) == [0.25, 0.5]
+    text = ["a", "b", "c"] * (ROWS // 3)
+    assert buffers.gather_typed(text, range(1, ROWS)) == text[1:]
+
+
+@needs_numpy
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+def test_arith_matches_python_on_every_kind_pairing(op):
+    rng = random.Random(7)
+    ints = [None if rng.random() < 0.15 else rng.randint(-40, 40) for _ in range(ROWS)]
+    more = [None if rng.random() < 0.15 else rng.randint(-3, 3) for _ in range(ROWS)]
+    floats = [
+        None if rng.random() < 0.15 else rng.choice([0.0, -0.0, 0.1, 2.5, -7.25])
+        for _ in range(ROWS)
+    ]
+    columns = {"int": (INT, ints), "small": (INT, more), "float": (FLOAT, floats)}
+    for left_name, right_name in [("int", "small"), ("int", "float"), ("float", "small"), ("float", "float")]:
+        (left_kind, left), (right_kind, right) = columns[left_name], columns[right_name]
+        got = typed(left_kind, left).arith(op, typed(right_kind, right))
+        assert same_values(got.tolist(), reference_arith(op, left, right)), (op, left_name, right_name)
+        assert got.kind == (FLOAT if op == "/" or FLOAT in (left_kind, right_kind) else INT)
+    for constant in (3, 0, -2.5, 0.0):
+        for kind, values in columns.values():
+            column = typed(kind, values)
+            assert same_values(
+                column.arith(op, constant).tolist(), reference_arith(op, values, [constant] * ROWS)
+            )
+            assert same_values(
+                column.arith(op, constant, True).tolist(),
+                reference_arith(op, [constant] * ROWS, values),
+            )
+
+
+@needs_numpy
+def test_arith_null_placeholders_stay_zero():
+    column = typed(FLOAT, [1.5, None, 2.5] * (ROWS // 3))
+    result = column.arith("/", typed(INT, [0, 0, 5] * (ROWS // 3)))
+    assert result.tolist()[:3] == [None, None, 0.5]
+    assert result.data[0] == 0.0 and result.data[1] == 0.0  # not the inf/nan numpy computed
+
+
+@needs_numpy
+def test_arith_refuses_at_the_int64_boundary():
+    top = typed(INT, [2**63 - 1] + [0] * (ROWS - 1))
+    bottom = typed(INT, [-(2**63)] + [0] * (ROWS - 1))
+    assert top.arith("+", 0).tolist()[0] == 2**63 - 1  # the bound itself still fits
+    assert refusal(top.arith, "+", 1) == "overflow-bound"
+    assert refusal(bottom.arith, "-", 1) == "overflow-bound"
+    assert refusal(top.arith, "*", 2) == "overflow-bound"
+    assert refusal(top.arith, "+", typed(INT, [1] * ROWS)) == "overflow-bound"
+    assert refusal(top.arith, "+", 2**70) == "overflow-bound"  # the constant itself
+    assert refusal(bottom.negate) == "overflow-bound"
+    assert top.negate().tolist()[0] == -(2**63 - 1)
+    assert typed(INT, [3037000499] * ROWS).arith("*", 3037000499).tolist()[0] == 3037000499**2
+
+
+@needs_numpy
+def test_arith_refuses_ints_that_float64_would_round():
+    exact = typed(INT, [2**53, -(2**53)] * (ROWS // 2))
+    beyond = typed(INT, [2**53 + 1] + [1] * (ROWS - 1))
+    halves = typed(FLOAT, [0.5] * ROWS)
+    assert same_values(
+        exact.arith("*", halves).tolist(), [2**53 * 0.5, -(2**53) * 0.5] * (ROWS // 2)
+    )
+    assert same_values(exact.arith("/", 3).tolist(), [2**53 / 3, -(2**53) / 3] * (ROWS // 2))
+    assert refusal(beyond.arith, "*", halves) == "inexact-int"
+    assert refusal(beyond.arith, "+", 0.5) == "inexact-int"
+    assert refusal(beyond.arith, "/", 3) == "inexact-int"  # int / int goes through float64 too
+    assert refusal(halves.arith, "+", 2**53 + 1) == "inexact-int"
+    assert beyond.arith("+", 1).tolist()[0] == 2**53 + 2  # int + int never leaves int64
+
+
+@needs_numpy
+def test_arith_refuses_non_numeric_operands():
+    column = typed(INT, list(range(ROWS)))
+    assert refusal(column.arith, "+", "1") == "text-values"
+    assert refusal(column.arith, "+", True) == "text-values"
+    assert refusal(column.arith, "+", None) == "text-values"
+
+
+@needs_numpy
+def test_arith_float_specials_follow_ieee_like_python():
+    column = typed(FLOAT, [1e308, -1e308, float("inf"), 0.0] * (ROWS // 4))
+    assert same_values(
+        column.arith("*", 10.0).tolist(), reference_arith("*", column.tolist(), [10.0] * ROWS)
+    )
+    assert same_values(
+        column.arith("-", column).tolist(),
+        reference_arith("-", column.tolist(), column.tolist()),
+    )  # inf - inf = nan on both sides
+
+
+def reference_groups(keys, row_count):
+    """The generic path's dict-of-tuples grouping: first rows, in insertion order."""
+    groups = {}
+    for row in range(row_count):
+        groups.setdefault(tuple(column[row] for column in keys), []).append(row)
+    return list(groups.values())
+
+
+def assert_groups_like_python(keys, row_count):
+    grouping = buffers.group_rows(keys, row_count)
+    expected = reference_groups(keys, row_count)
+    assert grouping.count == len(expected)
+    assert grouping.first_rows == [rows[0] for rows in expected]
+    ids = grouping.ids.tolist()
+    for group, rows in enumerate(expected):
+        assert all(ids[row] == group for row in rows)
+    return grouping
+
+
+@needs_numpy
+def test_group_rows_first_appearance_order_with_nulls_and_text():
+    rng = random.Random(11)
+    n = ROWS
+    ints = typed(INT, [None if rng.random() < 0.2 else rng.randint(0, 4) for _ in range(n)])
+    floats = typed(FLOAT, [None if rng.random() < 0.2 else rng.choice([0.0, -0.0, 1.5]) for _ in range(n)])
+    text = [None if rng.random() < 0.2 else rng.choice("xyz") for _ in range(n)]
+    for keys in ([ints], [floats], [text], [text, ints], [ints, floats, text]):
+        assert_groups_like_python(keys, n)
+    no_keys = buffers.group_rows([], n)
+    assert (no_keys.count, no_keys.first_rows, set(no_keys.ids.tolist())) == (1, [0], {0})
+    # -0.0 and 0.0 are one group, shown as whichever came first
+    zeros = typed(FLOAT, [-0.0, 0.0] * (ROWS // 2))
+    assert repr(gather_values(zeros, assert_groups_like_python([zeros], ROWS).first_rows)) == "[-0.0]"
+
+
+@needs_numpy
+def test_group_rows_refuses_nan_keys_and_small_inputs():
+    nan_key = typed(FLOAT, [1.0, float("nan")] * (ROWS // 2))
+    assert refusal(buffers.group_rows, [nan_key], ROWS) == "nan"
+    # a list-backed column groups through a dict, so NaN objects behave as in Python
+    nan = float("nan")
+    assert_groups_like_python([[nan, 1.0, nan, float("nan")] * (ROWS // 4)], ROWS)
+    few = buffers.KERNEL_MIN_ROWS - 1
+    assert refusal(buffers.group_rows, [typed(INT, [1] * few)], few) == "small-input"
+
+
+@needs_numpy
+def test_group_rows_redensifies_before_codes_overflow(monkeypatch):
+    rng = random.Random(5)
+    n = ROWS
+    keys = [typed(INT, [rng.randint(0, 9) for _ in range(n)]) for _ in range(4)]
+    expected = assert_groups_like_python(keys, n).ids.tolist()
+    calls = []
+    densify = buffers._densify
+    monkeypatch.setattr(buffers, "_densify", lambda codes: calls.append(1) or densify(codes))
+    monkeypatch.setattr(buffers, "_CODE_LIMIT", 5000)  # 10**4 combinations do not fit
+    assert buffers.group_rows(keys, n).ids.tolist() == expected
+    assert len(calls) > 1  # once mid-way, once at the end
+    monkeypatch.setattr(buffers, "_CODE_LIMIT", 20)  # even the dense codes cannot combine
+    assert refusal(buffers.group_rows, keys, n) == "overflow-bound"
+
+
+def reference_aggregate(function, values, groups):
+    out = []
+    for rows in groups:
+        present = [values[row] for row in rows if values[row] is not None]
+        if function == "count":
+            out.append(len(present))
+        elif not present:
+            out.append(None)
+        elif function == "sum":
+            out.append(buffers.sequential_sum(present))
+        elif function == "avg":
+            out.append(buffers.sequential_sum(present) / len(present))
+        else:
+            out.append(min(present) if function == "min" else max(present))
+    return out
+
+
+@needs_numpy
+@pytest.mark.parametrize("function", ["count", "sum", "avg", "min", "max"])
+def test_grouped_aggregates_match_python(function):
+    rng = random.Random(3)
+    n = ROWS
+    key = [rng.randint(0, 6) for _ in range(n)]
+    key[:5] = [9] * 5  # a group whose values are all NULL
+    ints = [None if i < 5 or rng.random() < 0.3 else rng.randint(-1000, 1000) for i in range(n)]
+    floats = [None if i < 5 or rng.random() < 0.3 else rng.uniform(-1e6, 1e6) for i in range(n)]
+    grouping = buffers.group_rows([typed(INT, key)], n)
+    groups = reference_groups([key], n)
+    for kind, values in ((INT, ints), (FLOAT, floats)):
+        got = grouping.aggregate(function, typed(kind, values))
+        assert same_values(got, reference_aggregate(function, values, groups)), kind
+    assert grouping.aggregate("count", None) == [len(rows) for rows in groups]
+    one_group = buffers.group_rows([], n)
+    assert same_values(
+        one_group.aggregate(function, typed(FLOAT, floats)),
+        reference_aggregate(function, floats, [list(range(n))]),
+    )
+
+
+@needs_numpy
+def test_float_sum_is_sequential_not_pairwise():
+    values = [1e16, 1.0, -1e16, 1.0] * (ROWS // 4)
+    grouping = buffers.group_rows([], ROWS)
+    assert grouping.aggregate("sum", typed(FLOAT, values)) == [buffers.sequential_sum(values)]
+    assert buffers.sequential_sum(values) == 1.0  # a compensated sum keeps every 1.0
+    assert repr(buffers.sequential_sum([-0.0])) == "0.0"  # 0 + -0.0, as builtin sum starts
+    assert repr(grouping.aggregate("sum", typed(FLOAT, [-0.0] * ROWS))) == "[0.0]"
+
+
+@needs_numpy
+def test_grouped_aggregates_refuse_where_numpy_would_differ():
+    n = ROWS
+    grouping = buffers.group_rows([], n)
+    big = typed(INT, [2**53 // n + 1] * n)
+    assert refusal(grouping.aggregate, "sum", big) == "overflow-bound"
+    assert refusal(grouping.aggregate, "avg", big) == "inexact-int"
+    assert grouping.aggregate("sum", typed(INT, [2**53 // n] * n)) == [(2**53 // n) * n]
+    assert grouping.aggregate("max", big) == [2**53 // n + 1]  # MIN/MAX never leave int64
+    with_nan = typed(FLOAT, [1.0, float("nan")] * (n // 2))
+    assert refusal(grouping.aggregate, "min", with_nan) == "nan"
+    assert refusal(grouping.aggregate, "max", typed(FLOAT, [0.0, -0.0] * (n // 2))) == "nan"
+    assert same_values(
+        grouping.aggregate("sum", with_nan), [buffers.sequential_sum(with_nan.tolist())]
+    )  # NaN just propagates through a sum, as in Python
+    assert refusal(grouping.aggregate, "sum", ["1"] * n) == "text-values"
+
+
+@needs_numpy
+def test_aggregate_kernels_refuse_without_numpy(monkeypatch):
+    column = typed(INT, list(range(ROWS)))
+    monkeypatch.setattr(buffers, "_np", None)
+    assert column.take(range(1, ROWS)) is None
+    assert buffers.gather_typed(column, range(1, ROWS)) == list(range(1, ROWS))
+    assert refusal(column.arith, "+", 1) == "no-numpy"
+    assert refusal(column.negate) == "no-numpy"
+    assert refusal(buffers.group_rows, [column], ROWS) == "no-numpy"
+    assert refusal(buffers.require_kernels, ROWS) == "no-numpy"
