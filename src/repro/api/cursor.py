@@ -3,8 +3,9 @@
 A :class:`Cursor` buffers one statement's result set and exposes the familiar
 ``execute`` / ``executemany`` / ``fetchone`` / ``fetchmany`` / ``fetchall`` /
 ``description`` surface.  Fetched rows are tuples ordered like
-``description``; the richer :class:`~repro.api.database.StatementResult`
-(dict rows, plan, execution, cache flag) stays reachable as
+``description`` — the very tuples the statement built, with no dict in
+between; the richer :class:`~repro.api.database.StatementResult` (a dict
+view of the rows, plan, execution, cache flag) stays reachable as
 :attr:`Cursor.result`.
 
 ``EXPLAIN`` output is presented relationally too: a single ``plan`` column
@@ -92,9 +93,7 @@ class Cursor:
             self.rowcount = len(self._rows)
         elif result.statement == "select":
             self.description = [_description_entry(name) for name in result.columns]
-            self._rows = [
-                tuple(row.get(name) for name in result.columns) for row in result.rows
-            ]
+            self._rows = result.tuples
             self.rowcount = len(self._rows)
         else:
             self.description = None

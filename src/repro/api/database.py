@@ -76,6 +76,7 @@ from repro.obs.trace import (
     Span,
     Trace,
     Tracer,
+    gc_collections,
     install_fanout_sink,
     remove_fanout_sink,
     span,
@@ -95,7 +96,7 @@ from repro.sql.ast import (
     InsertStatement,
     SelectStatement,
 )
-from repro.storage.buffers import column_kinds
+from repro.storage.buffers import column_kinds, column_values, gather_values
 from repro.storage.table import StoredTable
 from repro.storage.versioning import VersionedTable
 from repro.sql.binder import Binder, query_parameter_count, value_matches_type
@@ -113,11 +114,16 @@ class StatementResult:
     ``create table`` / ``insert`` / ``copy`` / ``analyze``.  ``rowcount``
     follows DB-API conventions: rows returned for SELECT, rows affected for
     INSERT/COPY, -1 otherwise.
+
+    A SELECT's rows are held as ``tuples`` — one tuple per row, ordered like
+    ``columns`` — which is what cursors hand out.  :attr:`rows` is a dict
+    view of them (``dict(zip(columns, row))`` per row), built on first
+    access.
     """
 
     statement: str
     columns: List[str] = field(default_factory=list)
-    rows: List[Row] = field(default_factory=list)
+    tuples: List[Tuple[object, ...]] = field(default_factory=list)
     rowcount: int = -1
     query: Optional[Query] = None
     optimization: Optional[OptimizationResult] = None
@@ -128,6 +134,15 @@ class StatementResult:
     #: id of the trace this statement produced (None with tracing disabled);
     #: look it up through :meth:`Database.traces`.
     trace_id: Optional[str] = None
+    _rows: Optional[List[Row]] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def rows(self) -> List[Row]:
+        """The result rows as dicts keyed by column name (a view of ``tuples``)."""
+        if self._rows is None:
+            columns = self.columns
+            self._rows = [dict(zip(columns, row)) for row in self.tuples]
+        return self._rows
 
     @property
     def plan(self):
@@ -135,15 +150,15 @@ class StatementResult:
 
     @property
     def row_count(self) -> int:
-        return len(self.rows)
+        return len(self.tuples)
 
     def __str__(self) -> str:
         if self.plan_text is not None:
             return self.plan_text
         header = "\t".join(self.columns)
         lines = [header] if header else []
-        for row in self.rows:
-            lines.append("\t".join(str(row.get(column)) for column in self.columns))
+        for row in self.tuples:
+            lines.append("\t".join(str(value) for value in row))
         return "\n".join(lines)
 
 
@@ -160,25 +175,42 @@ def output_columns(query: Query) -> List[str]:
     return query.output_names
 
 
-def shape_rows(query: Query, rows: List[Row], columns: List[str]) -> List[Row]:
-    """Order, limit and project the executor's output rows.
+def shape_result(query: Query, output: ColumnTable, columns: List[str]) -> List[Tuple[object, ...]]:
+    """Order, limit and project the executor's output columns into row tuples.
 
-    Sorting happens before projection so ORDER BY may reference columns
-    that are not in the SELECT list (for non-aggregated queries the
-    executor's rows carry every referenced qualified column).
+    ORDER BY stable-sorts a row permutation, one item at a time from the
+    last, on ``(value is None, value)`` — NULLs last ascending, first
+    descending — so it may use columns outside the SELECT list (for
+    non-aggregated queries the output carries every referenced qualified
+    column).  LIMIT slices the permutation, projection picks columns, and
+    the rows are built once, by ``zip``.  A column the output lacks reads as
+    NULL.
     """
-    shaped = list(rows)
+    row_count = output.row_count
+    order: Optional[Sequence[int]] = None
     for item in reversed(query.order_by):
-        key = str(item.column)
-        shaped.sort(
-            key=lambda row: (row.get(key) is None, row.get(key)),
-            reverse=item.descending,
-        )
+        values = output.column(str(item.column))
+        if values is None:
+            continue  # all-NULL keys: a stable sort leaves the order as it is
+        keys = [(value is None, value) for value in column_values(values)]
+        if order is None:
+            order = list(range(row_count))
+        order.sort(key=keys.__getitem__, reverse=item.descending)
     if query.limit is not None:
-        shaped = shaped[: query.limit]
-    if columns:
-        shaped = [{column: row.get(column) for column in columns} for row in shaped]
-    return shaped
+        if order is None:
+            order = range(min(query.limit, row_count))
+        else:
+            del order[query.limit :]
+    picked: List[Sequence[object]] = []
+    for name in columns:
+        values = output.column(name)
+        if values is None:
+            picked.append([None] * row_count)
+        else:
+            picked.append(column_values(values) if order is None else gather_values(values, order))
+    if not picked:
+        return [()] * (row_count if order is None else len(order))
+    return list(zip(*picked))
 
 
 _SELECT_KINDS = ("select", "explain", "explain analyze")
@@ -260,7 +292,7 @@ class Database:
         # up front, so EXPLAIN/optimization works without an explicit ANALYZE.
         for name in self._store:
             if self.catalog.schema.has_table(name) and not self.catalog.has_stats(name):
-                self.catalog.analyze_table(name, self.table_rows(name))
+                self._analyze(name)
 
     def _register_metrics(self) -> None:
         """Create the hot-path instruments and absorb existing stat sources.
@@ -389,14 +421,14 @@ class Database:
             return stored.version
         return None
 
-    def table_rows(self, name: str) -> List[Row]:
-        """The stored rows of one table, materialized as dicts."""
-        stored = self._resolve(self._store.get(name))
-        if stored is None:
-            return []
+    def _analyze(self, name: str) -> None:
+        """Rebuild one table's statistics from its stored data, read column
+        by column (no row dicts) when the table is columnar."""
+        stored = self._resolve(self._store[name])
         if isinstance(stored, ColumnTable):
-            return stored.to_rows()
-        return list(stored)
+            self.catalog.analyze_columns(name, stored.columns, stored.row_count)
+        else:
+            self.catalog.analyze_table(name, list(stored))
 
     def stored_row_count(self, name: str) -> int:
         stored = self._resolve(self._store.get(name))
@@ -742,6 +774,7 @@ class Database:
                 parameter_count=entry.parameter_count,
                 from_cache=cached,
             )
+        collections_before = gc_collections() if kind == "explain analyze" else ()
         execution = self._run_plan(
             query, optimization.plan, params, engine, batch_size, workers, executor,
             trace=trace,
@@ -749,10 +782,11 @@ class Database:
         self.monitor.record_execution(execution, session=session)
         self._executions_total.inc()
         if kind == "explain analyze":
+            full_collections = gc_collections()[-1] - collections_before[-1]
             text = (
                 explain_header(query, optimization)
                 + render_plan(optimization.plan, execution, query=query)
-                + explain_footer(execution)
+                + explain_footer(execution, full_collections)
             )
             return StatementResult(
                 "explain analyze",
@@ -764,11 +798,11 @@ class Database:
                 from_cache=cached,
             )
         columns = output_columns(query)
-        rows = shape_rows(query, execution.rows, columns)
+        rows = shape_result(query, execution.output, columns)
         return StatementResult(
             "select",
             columns=columns,
-            rows=rows,
+            tuples=rows,
             rowcount=len(rows),
             query=query,
             optimization=optimization,
@@ -1161,7 +1195,7 @@ class Database:
         # from the full stored contents; the catalog version bump invalidates
         # any plan cached against the pre-load statistics.
         with self._ddl_lock:
-            self.catalog.analyze_table(table.name, self.table_rows(table.name))
+            self._analyze(table.name)
         return StatementResult("copy", rowcount=added)
 
     def _execute_analyze(self, binder: Binder, statement: AnalyzeStatement) -> StatementResult:
@@ -1181,7 +1215,7 @@ class Database:
             ]
         with self._ddl_lock:
             for name in targets:
-                self.catalog.analyze_table(name, self.table_rows(name))
+                self._analyze(name)
         return StatementResult("analyze", rowcount=len(targets))
 
     def _append_rows(self, name: str, rows: List[Row]) -> int:

@@ -7,7 +7,7 @@ shared histogram / cost-estimation components.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 from repro.common.errors import CatalogError
 from repro.catalog.statistics import ColumnStats, TableStats
@@ -82,6 +82,24 @@ class Catalog:
         schema_table = self.schema.table(table)
         stats = TableStats.from_rows(
             rows, columns=schema_table.column_names, bucket_count=bucket_count
+        )
+        self._stats[table] = stats
+        self._bump_table(table)
+        return stats
+
+    def analyze_columns(
+        self,
+        table: str,
+        columns: Mapping[str, Iterable[object]],
+        row_count: int,
+        bucket_count: int = 16,
+    ) -> TableStats:
+        """:meth:`analyze_table` over column arrays instead of row dicts."""
+        stats = TableStats.from_columns(
+            columns,
+            row_count,
+            column_names=self.schema.table(table).column_names,
+            bucket_count=bucket_count,
         )
         self._stats[table] = stats
         self._bump_table(table)

@@ -81,16 +81,39 @@ class TableStats:
         bucket_count: int = 16,
     ) -> "TableStats":
         """Compute statistics from in-memory rows (dicts keyed by column name)."""
-        row_count = float(len(rows))
         if not rows:
             return cls(row_count=0.0)
-        column_names = list(columns) if columns is not None else list(rows[0].keys())
+        names = list(columns) if columns is not None else list(rows[0].keys())
+        pivoted = {name: [row.get(name) for row in rows] for name in names}
+        return cls.from_columns(pivoted, len(rows), bucket_count=bucket_count)
+
+    @classmethod
+    def from_columns(
+        cls,
+        columns: Mapping[str, Iterable[object]],
+        row_count: int,
+        column_names: Optional[Iterable[str]] = None,
+        bucket_count: int = 16,
+    ) -> "TableStats":
+        """Compute statistics from column arrays (name → values, any sequence).
+
+        *column_names* picks the columns to describe (default: every column);
+        a named column missing from *columns* reads as all NULL.  Numeric
+        values get min/max/histogram statistics; a column without any gets a
+        distinct count alone.
+        """
+        if not row_count:
+            return cls(row_count=0.0)
+        names = list(column_names) if column_names is not None else list(columns)
         column_stats: Dict[str, ColumnStats] = {}
-        for name in column_names:
-            values = [row[name] for row in rows if isinstance(row.get(name), (int, float))]
-            if values:
-                column_stats[name] = ColumnStats.from_values(values, bucket_count)
+        for name in names:
+            values = columns.get(name)
+            if values is None:
+                column_stats[name] = ColumnStats(distinct_count=1.0)
+                continue
+            numbers = [value for value in values if isinstance(value, (int, float))]
+            if numbers:
+                column_stats[name] = ColumnStats.from_values(numbers, bucket_count)
             else:
-                distinct = len({row.get(name) for row in rows})
-                column_stats[name] = ColumnStats(distinct_count=float(distinct))
-        return cls(row_count=row_count, columns=column_stats)
+                column_stats[name] = ColumnStats(distinct_count=float(len(set(values))))
+        return cls(row_count=float(row_count), columns=column_stats)

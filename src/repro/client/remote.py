@@ -18,7 +18,7 @@ from __future__ import annotations
 import socket
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.cursor import Cursor
 from repro.common.errors import SqlError
@@ -52,6 +52,12 @@ class RemoteResult:
     from_cache: bool = False
     #: the server-side trace id, when the server runs with tracing on
     trace_id: Optional[str] = None
+
+    @property
+    def tuples(self) -> List[Tuple[object, ...]]:
+        """The rows as tuples ordered like ``columns`` (what cursors fetch)."""
+        columns = self.columns
+        return [tuple(row.get(name) for name in columns) for row in self.rows]
 
     @property
     def row_count(self) -> int:

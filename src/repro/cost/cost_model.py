@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.catalog.catalog import Catalog
 from repro.common.errors import OptimizationError
 from repro.cost.overrides import StatisticsOverlay
 from repro.cost.summaries import ExpressionSummary, SummaryProvider
 from repro.relational.expressions import Expression
-from repro.relational.plan import PhysicalOperator
-from repro.relational.properties import PhysicalProperty, PropertyKind
+from repro.relational.plan import PhysicalOperator, PhysicalPlan
+from repro.relational.properties import ANY_PROPERTY, PhysicalProperty, PropertyKind
 from repro.relational.query import Query
 
 
@@ -204,6 +204,59 @@ class CostModel:
 
         cost += out_rows * params.output_tuple_cost
         return cost
+
+    def local_cost(self, entry, enumerator) -> Tuple[float, float]:
+        """``(local cost, output cardinality)`` of one alternative's root operator.
+
+        *entry* is a search-space alternative; *enumerator* (the
+        :class:`~repro.optimizer.search_space.SearchSpaceEnumerator` that
+        produced it) names the index an indexed nested-loop join probes.  The
+        one cost function every optimizer prices alternatives with.
+        """
+        expression = entry.key.expression
+        summary = self.summary(expression)
+        operator = entry.physical_op
+        if operator.is_scan:
+            local = self.scan_cost(expression.sole_alias, operator, entry.key.prop)
+        elif operator is PhysicalOperator.SORT:
+            local = self.sort_enforcer_cost(summary)
+        elif operator.is_join:
+            assert entry.left is not None and entry.right is not None
+            left_summary = self.summary(entry.left.expression)
+            right_summary = self.summary(entry.right.expression)
+            inner_index = None
+            if operator is PhysicalOperator.INDEX_NL_JOIN:
+                target = enumerator.index_scan_target(entry.right.expression, entry.right.prop)
+                if target is not None:
+                    inner_index = target[1]
+            local = self.join_local_cost(
+                operator, summary, left_summary, right_summary, inner_index=inner_index
+            )
+        else:  # pragma: no cover - defensive
+            raise OptimizationError(f"cannot cost operator {operator}")
+        return local, summary.cardinality
+
+    def aggregate_plan(self, plan: PhysicalPlan) -> PhysicalPlan:
+        """*plan* under the query's final hash aggregate (the caller checks
+        that the query aggregates)."""
+        summary = self.summary(self.query.root_expression)
+        if self.query.group_by:
+            groups = 1.0
+            for column in self.query.group_by:
+                groups *= summary.distinct_values(column)
+            groups = min(groups, summary.cardinality)
+        else:
+            groups = 1.0
+        local = self.aggregate_cost(summary, groups)
+        return PhysicalPlan(
+            operator=PhysicalOperator.HASH_AGGREGATE,
+            expression=plan.expression,
+            output_property=ANY_PROPERTY,
+            children=(plan,),
+            local_cost=local,
+            total_cost=plan.total_cost + local,
+            cardinality=groups,
+        )
 
     def aggregate_cost(self, input_summary: ExpressionSummary, group_count: float) -> float:
         params = self.parameters

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import ExecutionError
 from repro.relational import scalar
@@ -27,6 +27,9 @@ from repro.relational.predicates import JoinPredicate
 from repro.relational.query import AggregateFunction, Query
 from repro.storage import access
 from repro.storage.buffers import sequential_sum
+
+if TYPE_CHECKING:  # the vectorized package imports this module
+    from repro.engine.vectorized.columns import ColumnTable
 
 Row = Dict[str, object]
 Table = List[Row]
@@ -39,9 +42,16 @@ def _scan_key(ref) -> str:
 
 @dataclass
 class ExecutionResult:
-    """Output rows plus per-expression observed cardinalities and timing."""
+    """The root's output columns plus per-expression observed cardinalities
+    and timing.
 
-    rows: Table
+    ``output`` holds the result as columns — list columns as tuples, typed
+    buffers as they are — so a retained result costs CPython's cyclic GC
+    nothing.  :attr:`rows` is a dict-per-row view of it, built on first
+    access.
+    """
+
+    output: Optional["ColumnTable"] = None
     observed_cardinalities: Dict[Expression, int] = field(default_factory=dict)
     elapsed_seconds: float = 0.0
     operator_timings: Dict[str, float] = field(default_factory=dict)
@@ -76,10 +86,32 @@ class ExecutionResult:
     #: (repro.common.errors.REFUSAL_REASONS) it ran the generic path.  The
     #: row engine, which has no kernels, leaves this empty.
     aggregate_paths: Dict[str, str] = field(default_factory=dict)
+    _rows: Optional[Table] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def rows(self) -> Table:
+        """The output as one dict per row (keyed like the output columns)."""
+        if self._rows is None:
+            self._rows = self.output.to_rows() if self.output is not None else []
+        return self._rows
 
     @property
     def row_count(self) -> int:
-        return len(self.rows)
+        return self.output.row_count if self.output is not None else 0
+
+
+def _pivot(rows: Table) -> "ColumnTable":
+    """The row engine's output rows as the frozen columns both engines hand
+    back.  Columns appear in first-seen key order; a row lacking a key reads
+    as NULL there, as ``row.get`` did."""
+    from repro.engine.vectorized.columns import ColumnTable
+
+    names: Dict[str, None] = {}
+    for row in rows:
+        if row.keys() != names.keys():
+            names.update(dict.fromkeys(row))
+    columns = {name: tuple([row.get(name) for row in rows]) for name in names}
+    return ColumnTable(columns, len(rows))
 
 
 class PlanExecutor:
@@ -108,12 +140,13 @@ class PlanExecutor:
 
     def execute(self, plan: PhysicalPlan) -> ExecutionResult:
         started = time.perf_counter()
-        result = ExecutionResult(rows=[], engine="row", query_name=self.query.name)
+        result = ExecutionResult(engine="row", query_name=self.query.name)
         # Nodes are entered in pre-order, so consuming the pre-order key list
         # as the recursion descends assigns every node its stable label.
         self._keys: Iterator[str] = iter(plan.operator_keys())
-        result.rows = self._execute_node(plan, result)
-        self._attach_derived(result.rows)
+        rows = self._execute_node(plan, result)
+        self._attach_derived(rows)
+        result.output = _pivot(rows)
         result.elapsed_seconds = time.perf_counter() - started
         return result
 

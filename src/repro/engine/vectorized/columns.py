@@ -11,8 +11,9 @@ than touching column internals.  Operators never touch one row at a time
 from the outside; they slice the arrays into fixed-size batches, compute
 *selection vectors* (lists of row indices that survive a predicate) and
 gather the surviving positions into new column arrays.  Rows only exist as
-dicts at the very edges: when a scan ingests the session's row-shaped data
-and when the root operator materializes the final result for the caller.
+dicts at the very edges: when a scan ingests the session's row-shaped data,
+or when a caller asks for the dict view of a result.  The root's output
+leaves the engine as a :meth:`frozen <ColumnTable.freeze>` table.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.storage.buffers import (
     BufferTypeError,
     column_values,
     copy_column,
+    freeze_column,
     gather_typed,
     gather_values,
     make_column,
@@ -125,6 +127,13 @@ class ColumnTable:
 
     def column(self, name: str) -> Optional[List[object]]:
         return self.columns.get(name)
+
+    def freeze(self) -> None:
+        """Hold every list column as a tuple from now on (see
+        :func:`~repro.storage.buffers.freeze_column`): how data that outlives
+        a statement is kept.  The column dict is replaced, not mutated, so a
+        table adopted from another keeps the other intact."""
+        self.columns = {name: freeze_column(values) for name, values in self.columns.items()}
 
     def to_rows(self) -> List[Row]:
         """Materialize the table back into row dicts (row order preserved)."""

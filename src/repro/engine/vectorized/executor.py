@@ -92,15 +92,15 @@ class VectorizedExecutor:
 
     def execute(self, plan: PhysicalPlan) -> ExecutionResult:
         started = time.perf_counter()
-        result = ExecutionResult(rows=[], engine="vectorized", query_name=self.query.name)
+        result = ExecutionResult(engine="vectorized", query_name=self.query.name)
         # Pre-order key consumption mirrors PlanExecutor: identical labels.
         self._keys: Iterator[str] = iter(plan.operator_keys())
         view = self._execute_node(plan, result)
         derived = self._derived_columns(view)
-        result.rows = view.materialize(self._output_names(view)).to_rows()
-        for name, values in derived:
-            for row, value in zip(result.rows, values):
-                row[name] = value
+        output = view.materialize(self._output_names(view))
+        output.columns.update(derived)
+        output.freeze()
+        result.output = output
         result.elapsed_seconds = time.perf_counter() - started
         return result
 

@@ -20,17 +20,24 @@ ring buffer, so concurrent scrapers always see immutable snapshots.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import threading
 import time
 from collections import deque
 from contextlib import contextmanager, nullcontext
-from typing import Any, ContextManager, Dict, Iterator, List, Optional
+from typing import Any, ContextManager, Dict, Iterator, List, Optional, Tuple
 
 DEFAULT_TRACE_CAPACITY = 256
 
 _TRACE_IDS = itertools.count(1)
 _FANOUT_LOCAL = threading.local()
+
+
+def gc_collections() -> Tuple[int, ...]:
+    """Cyclic-GC collections run so far in this process, per generation
+    (youngest first; the last one counts the full collections)."""
+    return tuple(generation["collections"] for generation in gc.get_stats())
 
 
 class Span:
@@ -69,10 +76,22 @@ class Trace:
 
     A trace is built on the statement's own thread (spans nest through a
     stack), then frozen into a dict by :meth:`to_dict` when it is handed to
-    the ring buffer.
+    the ring buffer.  :meth:`finish` stamps the root ``statement`` span with
+    ``gc_collections``: the collections per generation that ran while the
+    statement did (process-wide, so a concurrent statement's count too).
     """
 
-    __slots__ = ("trace_id", "statement", "session", "started_at", "status", "error", "root", "_stack")
+    __slots__ = (
+        "trace_id",
+        "statement",
+        "session",
+        "started_at",
+        "status",
+        "error",
+        "root",
+        "_stack",
+        "_gc_start",
+    )
 
     def __init__(self, statement: str, session: Optional[str] = None) -> None:
         self.trace_id = f"trace-{next(_TRACE_IDS):06d}"
@@ -83,6 +102,7 @@ class Trace:
         self.error: Optional[str] = None
         self.root = Span("statement")
         self._stack: List[Span] = [self.root]
+        self._gc_start = gc_collections()
 
     @property
     def current(self) -> Span:
@@ -116,6 +136,9 @@ class Trace:
 
     def finish(self, status: str = "ok", error: Optional[str] = None) -> None:
         self.root.end = time.perf_counter()
+        self.root.attributes["gc_collections"] = [
+            now - then for now, then in zip(gc_collections(), self._gc_start)
+        ]
         self.status = status
         self.error = error
 

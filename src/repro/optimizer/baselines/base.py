@@ -8,16 +8,14 @@ common code across the implementations").
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.catalog.catalog import Catalog
-from repro.common.errors import OptimizationError
 from repro.cost.cost_model import CostModel, CostParameters
 from repro.cost.overrides import StatisticsDelta, StatisticsOverlay
 from repro.optimizer.search_space import EnumerationOptions, SearchSpaceEnumerator
-from repro.optimizer.tables import OrKey, SearchSpaceEntry
+from repro.optimizer.tables import OrKey
 from repro.relational.expressions import Expression
-from repro.relational.plan import PhysicalOperator, PhysicalPlan
 from repro.relational.properties import ANY_PROPERTY
 from repro.relational.query import Query
 
@@ -55,46 +53,3 @@ class ProceduralOptimizerBase:
     def invalidate_statistics(self) -> None:
         """Drop cached summaries so the next optimization sees fresh estimates."""
         self.cost_model.summaries.invalidate_all()
-
-    # -- shared cost helpers --------------------------------------------------
-
-    def local_cost(self, entry: SearchSpaceEntry) -> Tuple[float, float]:
-        """(local cost, output cardinality) of one alternative's root operator."""
-        expression = entry.key.expression
-        summary = self.cost_model.summary(expression)
-        operator = entry.physical_op
-        if operator.is_scan:
-            local = self.cost_model.scan_cost(expression.sole_alias, operator, entry.key.prop)
-        elif operator is PhysicalOperator.SORT:
-            local = self.cost_model.sort_enforcer_cost(summary)
-        elif operator.is_join:
-            assert entry.left is not None and entry.right is not None
-            left_summary = self.cost_model.summary(entry.left.expression)
-            right_summary = self.cost_model.summary(entry.right.expression)
-            local = self.cost_model.join_local_cost(operator, summary, left_summary, right_summary)
-        else:  # pragma: no cover - defensive
-            raise OptimizationError(f"cannot cost operator {operator}")
-        return local, summary.cardinality
-
-    def wrap_with_aggregate(self, plan: PhysicalPlan) -> PhysicalPlan:
-        """Add the final aggregation operator on top of the join plan."""
-        if not self.query.has_aggregation:
-            return plan
-        summary = self.cost_model.summary(self.query.root_expression)
-        if self.query.group_by:
-            groups = 1.0
-            for column in self.query.group_by:
-                groups *= summary.distinct_values(column)
-            groups = min(groups, summary.cardinality)
-        else:
-            groups = 1.0
-        local = self.cost_model.aggregate_cost(summary, groups)
-        return PhysicalPlan(
-            operator=PhysicalOperator.HASH_AGGREGATE,
-            expression=plan.expression,
-            output_property=ANY_PROPERTY,
-            children=(plan,),
-            local_cost=local,
-            total_cost=plan.total_cost + local,
-            cardinality=groups,
-        )

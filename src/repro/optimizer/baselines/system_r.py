@@ -58,7 +58,8 @@ class SystemROptimizer(ProceduralOptimizerBase):
         if root is None or root.entry is None:
             raise OptimizationError("System-R optimizer found no plan for the query")
         plan = self._build_plan(self.root_key)
-        plan = self.wrap_with_aggregate(plan)
+        if self.query.has_aggregation:
+            plan = self.cost_model.aggregate_plan(plan)
         elapsed = time.perf_counter() - started
         metrics = self._collect_metrics(elapsed)
         return OptimizationResult(plan, plan.total_cost, metrics, self.name)
@@ -126,7 +127,7 @@ class SystemROptimizer(ProceduralOptimizerBase):
                 best.cardinality = cardinality
 
     def _cost_alternative(self, entry: SearchSpaceEntry) -> Optional[Tuple[float, float, float]]:
-        local, cardinality = self.local_cost(entry)
+        local, cardinality = self.cost_model.local_cost(entry, self.enumerator)
         total = local
         for child in entry.children():
             child_entry = self._table.get(child)

@@ -54,7 +54,8 @@ class VolcanoOptimizer(ProceduralOptimizerBase):
         if root is None or root.best_entry is None:
             raise OptimizationError("Volcano optimizer found no plan for the query")
         plan = self._build_plan(self.root_key)
-        plan = self.wrap_with_aggregate(plan)
+        if self.query.has_aggregation:
+            plan = self.cost_model.aggregate_plan(plan)
         elapsed = time.perf_counter() - started
         metrics = self._collect_metrics(elapsed)
         return OptimizationResult(plan, plan.total_cost, metrics, self.name)
@@ -121,7 +122,7 @@ class VolcanoOptimizer(ProceduralOptimizerBase):
         self, entry: SearchSpaceEntry, bound: float
     ) -> Optional[Tuple[float, float, float]]:
         """Cost one alternative under a bound; None when it exceeds the bound."""
-        local, cardinality = self.local_cost(entry)
+        local, cardinality = self.cost_model.local_cost(entry, self.enumerator)
         running = local
         if running > bound + _EPSILON:
             return None

@@ -106,6 +106,13 @@ class DeclarativeOptimizer:
         self.recorder.start()
         self._enqueue(("explore", self.root_key))
         self._run()
+        # Reference counting can kill a region while its children's minima
+        # are still improving; the costs it retains are then stale and can
+        # hide the optimum from the regions above.  Refresh them, the way
+        # reoptimize() does, so a cold pass returns the optimum.
+        stale, self._stale_retained = self._stale_retained, set()
+        if stale:
+            self._refresh(self._affected_alternatives((), extra=stale))
         metrics = self._collect_metrics(incremental=False)
         plan = self.best_plan()
         self._optimized = True
@@ -118,22 +125,15 @@ class DeclarativeOptimizer:
         self.recorder.start()
         for delta in deltas:
             self.cost_model.summaries.invalidate_containing(delta.expression)
-        self._incremental_pass = True
-        try:
-            # Retained costs of regions killed while the initial pass was
-            # still improving their children are stale; refresh them together
-            # with the delta-affected entries (a noop-only pass leaves them
-            # untouched — they cannot influence the outcome until some cost
-            # actually changes).
-            stale: Set[AndKey] = set()
-            if any(not delta.is_noop for delta in deltas):
-                stale = self._stale_retained
-                self._stale_retained = set()
-            for and_key in self._affected_alternatives(deltas, extra=stale):
-                self._enqueue(("cost", and_key))
-            self._run()
-        finally:
-            self._incremental_pass = False
+        # Retained costs of regions killed while a pass was still improving
+        # their children are stale; refresh them together with the
+        # delta-affected entries (a noop-only pass leaves them untouched —
+        # they cannot influence the outcome until some cost actually changes).
+        stale: Set[AndKey] = set()
+        if any(not delta.is_noop for delta in deltas):
+            stale = self._stale_retained
+            self._stale_retained = set()
+        self._refresh(self._affected_alternatives(deltas, extra=stale))
         metrics = self._collect_metrics(incremental=True)
         plan = self.best_plan()
         return OptimizationResult(plan, plan.total_cost, metrics, "declarative-incremental")
@@ -191,7 +191,7 @@ class DeclarativeOptimizer:
         """Extract the currently-best physical plan from the optimizer state."""
         plan = self._build_plan(self.root_key, set())
         if self.query.has_aggregation:
-            plan = self._wrap_with_aggregate(plan)
+            plan = self.cost_model.aggregate_plan(plan)
         return plan
 
     def search_space_size(self) -> Tuple[int, int]:
@@ -233,14 +233,26 @@ class DeclarativeOptimizer:
         self._queue: Deque[Tuple] = deque()
         # Retained alternatives of refcount-killed regions whose stored costs
         # went stale (a child's BestCost changed while the region was dead).
-        # reoptimize() refreshes them before trusting retained state.
+        # optimize() refreshes them before it returns, reoptimize() before it
+        # trusts retained state.
         self._stale_retained: Set[AndKey] = set()
         self._optimized = False
-        # During incremental re-optimization even pruned/dead regions must be
-        # kept cost-consistent (their retained costs feed next-best recovery
-        # and re-introduction decisions); during initial optimization skipping
-        # them is safe because stored costs never go stale.
+        # During incremental re-optimization (and the refresh that ends a cold
+        # pass) even pruned/dead regions are kept cost-consistent: their
+        # retained costs feed next-best recovery and re-introduction
+        # decisions.  The initial pass skips them and records what it skipped
+        # in _stale_retained.
         self._incremental_pass = False
+
+    def _refresh(self, and_keys: Sequence[AndKey]) -> None:
+        """Re-cost *and_keys* and propagate, dead and pruned regions included."""
+        self._incremental_pass = True
+        try:
+            for and_key in and_keys:
+                self._enqueue(("cost", and_key))
+            self._run()
+        finally:
+            self._incremental_pass = False
 
     def _enqueue(self, event: Tuple) -> None:
         self._queue.append(event)
@@ -386,7 +398,7 @@ class DeclarativeOptimizer:
                     self._enqueue(("explore", child))
                 return
             child_costs.append(best)
-        local_cost, cardinality = self._local_cost(entry)
+        local_cost, cardinality = self.cost_model.local_cost(entry, self.enumerator)
         total_cost = self.cost_model.combine(local_cost, *child_costs)
 
         previous = self._plan_costs.get(and_key)
@@ -423,32 +435,6 @@ class DeclarativeOptimizer:
             old_value = change.old_value.value if change.old_value is not None else None
             self._enqueue(("best_changed", or_key, old_value, change.value.value))
         self._refresh_contributions(entry)
-
-    def _local_cost(self, entry: SearchSpaceEntry) -> Tuple[float, float]:
-        expression = entry.key.expression
-        summary = self.cost_model.summary(expression)
-        operator = entry.physical_op
-        if operator.is_scan:
-            local = self.cost_model.scan_cost(expression.sole_alias, operator, entry.key.prop)
-        elif operator is PhysicalOperator.SORT:
-            local = self.cost_model.sort_enforcer_cost(summary)
-        elif operator.is_join:
-            assert entry.left is not None and entry.right is not None
-            left_summary = self.cost_model.summary(entry.left.expression)
-            right_summary = self.cost_model.summary(entry.right.expression)
-            inner_index = None
-            if operator is PhysicalOperator.INDEX_NL_JOIN:
-                target = self.enumerator.index_scan_target(
-                    entry.right.expression, entry.right.prop
-                )
-                if target is not None:
-                    inner_index = target[1]
-            local = self.cost_model.join_local_cost(
-                operator, summary, left_summary, right_summary, inner_index=inner_index
-            )
-        else:  # pragma: no cover - defensive
-            raise OptimizationError(f"cannot cost operator {operator}")
-        return local, summary.cardinality
 
     # ------------------------------------------------------------------
     # Aggregate selection with tuple source suppression (§3.1 / §4.1)
@@ -704,26 +690,6 @@ class DeclarativeOptimizer:
             total_cost=cost.total_cost,
             cardinality=cost.cardinality,
             details=details,
-        )
-
-    def _wrap_with_aggregate(self, plan: PhysicalPlan) -> PhysicalPlan:
-        summary = self.cost_model.summary(self.query.root_expression)
-        if self.query.group_by:
-            groups = 1.0
-            for column in self.query.group_by:
-                groups *= summary.distinct_values(column)
-            groups = min(groups, summary.cardinality)
-        else:
-            groups = 1.0
-        local = self.cost_model.aggregate_cost(summary, groups)
-        return PhysicalPlan(
-            operator=PhysicalOperator.HASH_AGGREGATE,
-            expression=plan.expression,
-            output_property=ANY_PROPERTY,
-            children=(plan,),
-            local_cost=local,
-            total_cost=plan.total_cost + local,
-            cardinality=groups,
         )
 
     # ------------------------------------------------------------------

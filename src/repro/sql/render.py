@@ -71,12 +71,17 @@ def explain_header(query: Query, optimization: OptimizationResult) -> str:
     return f"{query.name}: estimated cost {optimization.cost:.3f}{suffix}\n"
 
 
-def explain_footer(execution: ExecutionResult) -> str:
-    """The timing/engine line below an EXPLAIN ANALYZE plan."""
-    footer = (
-        f"\nexecution time: {execution.elapsed_seconds * 1000:.2f} ms, "
-        f"output rows: {execution.row_count}, engine: {execution.engine}"
-    )
+def explain_footer(execution: ExecutionResult, full_collections: int = 0) -> str:
+    """The timing/engine line below an EXPLAIN ANALYZE plan.
+
+    *full_collections* — full cyclic-GC collections that ran during the
+    execution — is shown next to the time when not zero: a pause inside it
+    that no operator caused.
+    """
+    footer = f"\nexecution time: {execution.elapsed_seconds * 1000:.2f} ms"
+    if full_collections:
+        footer += f" (gc: {full_collections} full collections)"
+    footer += f", output rows: {execution.row_count}, engine: {execution.engine}"
     if execution.workers is not None:
         footer += f", workers={execution.workers}"
     if execution.executor is not None:

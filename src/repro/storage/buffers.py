@@ -807,6 +807,15 @@ def copy_column(column):
     return list(column)
 
 
+def freeze_column(column):
+    """The column in a container CPython's cyclic GC skips: a list becomes a
+    tuple (untracked once it holds only atomic values), a typed buffer stays
+    as it is (its values are not Python objects)."""
+    if isinstance(column, list):
+        return tuple(column)
+    return column
+
+
 def column_kinds(column_names: Sequence[str], data_types: Sequence[object]) -> Dict[str, Optional[str]]:
     """name -> buffer kind for a schema's columns (enum or string types)."""
     kinds: Dict[str, Optional[str]] = {}

@@ -21,12 +21,14 @@ hash join it replaces.  :attr:`entry_count` counts non-NULL entries.
 
 Appends are O(1) amortized: the ordered index buffers new pairs and re-sorts
 lazily on the next lookup (timsort over a mostly-sorted array is linear).
-Under the versioned store (:mod:`repro.storage.versioning`) that sort is
-forced *before* a version is published — :meth:`StoredTable.seal_indexes
-<repro.storage.table.StoredTable.seal_indexes>` runs under the table write
-lock — so published snapshots never re-sort and stay truly immutable; the
-per-index sort lock below only matters for unversioned (draft/legacy)
-tables.
+Under the versioned store (:mod:`repro.storage.versioning`) every index is
+*sealed* before a version is published — :meth:`StoredTable.seal
+<repro.storage.table.StoredTable.seal>` runs under the table write lock —
+which forces that sort and turns buckets and arrays into tuples, so
+published snapshots never re-sort, cannot be appended to, and keep their
+row ids out of the cyclic GC's walk; the per-index sort lock below only
+matters for unversioned (draft/legacy) tables.  Lookups therefore return a
+read-only sequence of row ids (a tuple once sealed), never a list to mutate.
 """
 
 from __future__ import annotations
@@ -79,11 +81,14 @@ class HashIndex:
         return copied
 
     def seal(self) -> None:
-        """No deferred work: a hash index is always lookup-ready."""
+        """Freeze the buckets and the NULL row ids into tuples (a hash index
+        has no deferred work; it is always lookup-ready)."""
+        self._buckets = {value: tuple(bucket) for value, bucket in self._buckets.items()}
+        self._null_row_ids = tuple(self._null_row_ids)
 
     # -- lookups ---------------------------------------------------------
 
-    def lookup(self, value: object) -> List[int]:
+    def lookup(self, value: object) -> Sequence[int]:
         """Row ids whose key equals *value*, in row-id (stored) order.
 
         A ``None`` probe returns the NULL rows — the join-probe semantics of
@@ -92,7 +97,7 @@ class HashIndex:
         """
         if value is None:
             return self._null_row_ids
-        return self._buckets.get(value, [])
+        return self._buckets.get(value, ())
 
     @property
     def supports_range(self) -> bool:
@@ -155,12 +160,15 @@ class OrderedIndex:
         return copied
 
     def seal(self) -> None:
-        """Force the deferred sort now (the versioned store calls this under
-        the table write lock before publishing, so readers of a published
-        snapshot never trigger — or race — a lazy sort)."""
-        self._sorted_arrays()
+        """Force the deferred sort now and freeze the arrays into tuples (the
+        versioned store calls this under the table write lock before
+        publishing, so readers of a published snapshot never trigger — or
+        race — a lazy sort)."""
+        keys, row_ids = self._sorted_arrays()
+        self._keys, self._row_ids = tuple(keys), tuple(row_ids)
+        self._null_row_ids = tuple(self._null_row_ids)
 
-    def _sorted_arrays(self) -> "tuple[List[object], List[int]]":
+    def _sorted_arrays(self) -> "tuple[Sequence[object], Sequence[int]]":
         """The sorted ``(keys, row_ids)`` pair, consistent as a pair.
 
         Readers must use the returned lists, never re-read the attributes:
@@ -183,7 +191,7 @@ class OrderedIndex:
 
     # -- lookups ---------------------------------------------------------
 
-    def lookup(self, value: object) -> List[int]:
+    def lookup(self, value: object) -> Sequence[int]:
         """Row ids whose key equals *value* (row-id order within the run)."""
         if value is None:
             return self._null_row_ids
@@ -198,7 +206,7 @@ class OrderedIndex:
         low_inclusive: bool,
         high: Optional[object],
         high_inclusive: bool,
-    ) -> List[int]:
+    ) -> Sequence[int]:
         """Row ids with ``low < / <= key < / <= high``, in key order.
 
         ``None`` on either side leaves that side unbounded (the caller maps a
@@ -215,8 +223,6 @@ class OrderedIndex:
         if high is not None:
             bisect = bisect_right if high_inclusive else bisect_left
             end = bisect(keys, high)
-        if start >= end:
-            return []
         return row_ids[start:end]
 
     def ordered_row_ids(self, nulls_last: bool = True) -> List[int]:
@@ -224,8 +230,8 @@ class OrderedIndex:
         semantics) or prepended when ``nulls_last`` is False."""
         _, row_ids = self._sorted_arrays()
         if nulls_last:
-            return row_ids + self._null_row_ids
-        return self._null_row_ids + row_ids
+            return [*row_ids, *self._null_row_ids]
+        return [*self._null_row_ids, *row_ids]
 
     @property
     def supports_range(self) -> bool:
@@ -249,7 +255,8 @@ def build_index(meta: Index, values: Sequence[object]) -> "PhysicalIndex":
     else:  # pragma: no cover - Index.__post_init__ validates kinds
         raise ValueError(f"unknown index kind {meta.kind!r}")
     index.insert_values(values, 0)
-    index.seal()
+    if isinstance(index, OrderedIndex):
+        index._sorted_arrays()  # sort now; sealing is the publisher's job
     return index
 
 

@@ -97,15 +97,20 @@ class StoredTable(ColumnTable):
         """Forget the named physical index; True if it existed."""
         return self.indexes.pop(name, None) is not None
 
-    def seal_indexes(self) -> None:
-        """Force every index's deferred maintenance (the ordered indexes'
-        lazy sort) to run now.
+    def seal(self) -> None:
+        """Make this table immutable in fact, ready to be published.
 
-        The versioned store calls this under the table write lock before
-        publishing a version, so a published snapshot never mutates itself
-        lazily under concurrent readers — the 'immutable once handed out'
-        contract of :class:`repro.storage.versioning.VersionedTable`.
+        Every index runs its deferred maintenance (the ordered indexes' lazy
+        sort) and freezes its row-id containers; list-backed columns become
+        tuples.  The versioned store calls this under the table write lock
+        before publishing a version, so a published snapshot never mutates
+        itself under concurrent readers, and holds its data in containers
+        CPython's cyclic GC does not traverse (tuples of atomic values are
+        untracked, typed buffers hold no Python objects), so a loaded table
+        adds little to a full collection.  Writers are unaffected:
+        :meth:`copy_for_write` copies into fresh lists.
         """
+        self.freeze()
         for index in self.indexes.values():
             index.seal()
 

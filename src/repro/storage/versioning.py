@@ -12,7 +12,8 @@ should not see.
 snapshots**:
 
 * a **reader** calls :meth:`snapshot` (or :meth:`current` for the version
-  number too) and receives an *immutable* :class:`StoredTable` — one atomic
+  number too) and receives a *sealed* :class:`StoredTable` (tuple columns,
+  tuple index buckets: see :meth:`StoredTable.seal`) — one atomic
   attribute read, no lock.  Every statement resolves its snapshots once up
   front (:meth:`Database._snapshot_store`), so the whole statement sees one
   consistent table + index version even while writers keep publishing;
@@ -62,9 +63,9 @@ class VersionedTable:
     def __init__(self, table: StoredTable, version: int = 0) -> None:
         #: serializes writers on this table; readers never take it.
         self.write_lock = threading.Lock()
-        # Adopted tables may carry indexes with deferred sorts; seal before
-        # the first snapshot is handed out (see _publish).
-        table.seal_indexes()
+        # Adopted tables may carry list columns and indexes with deferred
+        # sorts; seal before the first snapshot is handed out (see _publish).
+        table.seal()
         self._current = TableVersion(version, table)
 
     # -- reader side ------------------------------------------------------
@@ -118,9 +119,10 @@ class VersionedTable:
     def _publish(self, table: StoredTable) -> None:
         # Seal first (still under the write lock): an ordered index's lazy
         # sort must never run on a published version, where two racing
-        # readers could pair half-swapped key/row-id arrays.  Published
+        # readers could pair half-swapped key/row-id arrays.  Sealing turns
+        # list columns and index buckets into tuples, so published
         # snapshots are immutable for real, not just by convention.
-        table.seal_indexes()
+        table.seal()
         # Single reference assignment — the only mutation readers can race
         # with, and one the GIL (and any sane memory model) makes atomic.
         self._current = TableVersion(self._current.version + 1, table)

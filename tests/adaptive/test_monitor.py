@@ -11,7 +11,7 @@ from repro.workloads.tpch import tpch_catalog
 
 
 def execution_with(cards):
-    return ExecutionResult(rows=[], observed_cardinalities=dict(cards))
+    return ExecutionResult(observed_cardinalities=dict(cards))
 
 
 class TestObservationHistory:
@@ -47,9 +47,9 @@ class TestRecording:
     def test_operator_seconds_accumulate_across_slices(self):
         monitor = RuntimeMonitor()
         first = ExecutionResult(
-            rows=[], operator_timings={"seq-scan (a)#1": 0.5, "pipelined-hash-join (a b)#0": 2.0}
+            operator_timings={"seq-scan (a)#1": 0.5, "pipelined-hash-join (a b)#0": 2.0}
         )
-        second = ExecutionResult(rows=[], operator_timings={"seq-scan (a)#1": 0.25})
+        second = ExecutionResult(operator_timings={"seq-scan (a)#1": 0.25})
         monitor.record_execution(first)
         monitor.record_execution(second)
         assert monitor.operator_seconds() == {
@@ -59,7 +59,7 @@ class TestRecording:
 
     def test_operator_seconds_snapshot_is_detached(self):
         monitor = RuntimeMonitor()
-        monitor.record_execution(ExecutionResult(rows=[], operator_timings={"sort (a)#0": 1.0}))
+        monitor.record_execution(ExecutionResult(operator_timings={"sort (a)#0": 1.0}))
         snapshot = monitor.operator_seconds()
         snapshot["sort (a)#0"] = 99.0
         assert monitor.operator_seconds()["sort (a)#0"] == 1.0

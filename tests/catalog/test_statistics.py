@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro
 from repro.catalog.statistics import ColumnStats, TableStats
 from repro.common.errors import CatalogError
 
@@ -65,3 +66,56 @@ class TestTableStats:
     def test_from_rows_empty(self):
         stats = TableStats.from_rows([])
         assert stats.row_count == 0
+
+
+def _described(stats):
+    """TableStats as plain values (histograms compare by their buckets)."""
+    return (
+        stats.row_count,
+        {
+            name: (
+                column.distinct_count,
+                column.min_value,
+                column.max_value,
+                column.null_fraction,
+                None if column.histogram is None else column.histogram.buckets,
+            )
+            for name, column in stats.columns.items()
+        },
+    )
+
+
+class TestFromColumns:
+    ROWS = [
+        {"i": 3, "x": 1.5, "t": "ash", "m": 2},
+        {"i": None, "x": 2, "t": None, "m": "two"},
+        {"i": 1, "x": None, "t": "birch", "m": 2.5},
+        {"i": 3, "x": -4.25, "t": "ash", "m": None},
+        {"i": 7, "x": 2, "t": "cedar", "m": 9},
+    ]
+    NAMES = ["i", "x", "t", "m", "absent"]
+
+    def test_rows_and_columns_give_identical_stats(self):
+        columns = {name: [row.get(name) for row in self.ROWS] for name in self.NAMES[:-1]}
+        from_rows = TableStats.from_rows(self.ROWS, columns=self.NAMES, bucket_count=3)
+        from_columns = TableStats.from_columns(
+            columns, len(self.ROWS), column_names=self.NAMES, bucket_count=3
+        )
+        assert _described(from_columns) == _described(from_rows)
+        assert from_columns.column("t").histogram is None
+        assert from_columns.column("absent").distinct_count == 1.0
+        assert from_columns.column("m").min_value == 2  # mixed int/float/TEXT
+
+    def test_empty_table(self):
+        empty = TableStats.from_columns({"i": []}, 0)
+        assert _described(empty) == _described(TableStats.from_rows([], columns=["i"]))
+        assert empty.row_count == 0.0 and empty.columns == {}
+
+    def test_analyze_reads_the_stored_columns(self):
+        connection = repro.connect()
+        connection.execute("CREATE TABLE s (i INTEGER, t STRING)")
+        connection.execute("INSERT INTO s VALUES (1, 'a'), (NULL, 'b'), (3, NULL)")
+        connection.execute("ANALYZE s")
+        database = connection.database
+        expected = TableStats.from_rows(database.store["s"].to_rows(), columns=["i", "t"])
+        assert _described(database.catalog.table_stats("s")) == _described(expected)

@@ -175,7 +175,7 @@ class TestMaintenanceUnderMutation:
         assert index.entry_count == 2
         index = database.store["t"].usable_index("a", "point")
         assert index.entry_count == 3
-        assert index.lookup(2) == [1, 3]
+        assert list(index.lookup(2)) == [1, 3]
 
 
 class TestSortedIndexScan:

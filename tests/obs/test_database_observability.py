@@ -1,5 +1,6 @@
 """Database- and server-level observability: traces, metrics, event log."""
 
+import gc
 import json
 import re
 
@@ -7,6 +8,7 @@ import pytest
 
 from repro.api.database import Database
 from repro.common.errors import SqlError
+from repro.engine.vectorized.executor import VectorizedExecutor
 from repro.obs.metrics import parse_prometheus
 
 
@@ -85,6 +87,25 @@ class TestTracing:
         ]
         lookup = trace["spans"]["children"][0]
         assert lookup["attributes"]["hit"] is False
+
+    def test_statement_span_counts_gc_collections(self, monkeypatch):
+        database = _seeded_database(trace=True)
+        database.execute("SELECT ta FROM t")
+        quiet = database.traces()[-1]["spans"]["attributes"]["gc_collections"]
+        assert len(quiet) == len(gc.get_stats())
+
+        scan = VectorizedExecutor._execute_scan_view
+
+        def collecting_scan(self, node):
+            gc.collect()
+            return scan(self, node)
+
+        monkeypatch.setattr(VectorizedExecutor, "_execute_scan_view", collecting_scan)
+        database.execute(JOIN)
+        counts = database.traces()[-1]["spans"]["attributes"]["gc_collections"]
+        assert counts[-1] >= 2  # one full collection per scanned table
+        text = database.execute("EXPLAIN ANALYZE " + JOIN).plan_text
+        assert re.search(r"execution time: \S+ ms \(gc: [2-9]\d* full collections\)", text)
 
     def test_cache_hit_shortens_the_trace(self):
         database = _seeded_database(trace=True)

@@ -34,7 +34,7 @@ def assert_retained_costs_consistent(optimizer: DeclarativeOptimizer) -> None:
             child_bests = [optimizer._best.value(child) for child in entry.children()]
             if any(best is None for best in child_bests):
                 continue
-            local, _ = optimizer._local_cost(entry)
+            local, _ = optimizer.cost_model.local_cost(entry, optimizer.enumerator)
             expected = optimizer.cost_model.combine(local, *child_bests)
             assert stored.total_cost == pytest.approx(expected, rel=1e-9), (
                 f"retained cost of {entry.key} is stale: "

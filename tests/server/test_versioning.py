@@ -80,7 +80,7 @@ class TestIndexVersioning:
         assert new_index is not old_index
         assert old_index.entry_count == 1
         assert new_index.entry_count == 2
-        assert new_index.lookup(7) == [1]
+        assert list(new_index.lookup(7)) == [1]
 
     def test_failed_unique_append_publishes_nothing(self):
         versioned = make_versioned([{"a": 1, "b": 2}])
@@ -112,9 +112,9 @@ class TestPublishedSnapshotsAreSealed:
     An :class:`OrderedIndex` defers its sort until the first lookup; if a
     published snapshot still carried an unsorted tail, two concurrent reader
     lookups could race that lazy sort and pair newly-sorted keys with stale
-    row ids.  :meth:`VersionedTable._publish` therefore seals every index
-    (forces the sort) under the write lock, before the version becomes
-    visible.
+    row ids.  :meth:`VersionedTable._publish` therefore seals the table
+    (forces the sort, freezes columns and index containers into tuples)
+    under the write lock, before the version becomes visible.
     """
 
     def ordered_meta(self):
@@ -130,7 +130,7 @@ class TestPublishedSnapshotsAreSealed:
         versioned.append_rows([{"a": 3, "b": 0}, {"a": 9, "b": 0}, {"a": 1, "b": 0}])
         index = versioned.snapshot().indexes["idx_t_a"]
         assert self.sealed(index)
-        assert index._keys == sorted(index._keys)
+        assert list(index._keys) == sorted(index._keys)
 
     def test_adopted_table_is_sealed_on_wrap(self):
         table = StoredTable.with_columns(["a", "b"])
@@ -138,6 +138,33 @@ class TestPublishedSnapshotsAreSealed:
         table.append_rows([{"a": 4, "b": 0}, {"a": 2, "b": 0}])  # unsorted tail
         versioned = VersionedTable(table)
         assert self.sealed(versioned.snapshot().indexes["idx_t_a"])
+
+    def test_published_columns_and_indexes_are_tuples(self):
+        versioned = make_versioned([{"a": 5, "b": "x"}, {"a": None, "b": "y"}])
+        versioned.create_index(Index(name="idx_t_b", table="t", column="b", kind="hash"))
+        versioned.create_index(self.ordered_meta())
+        snapshot = versioned.snapshot()
+        assert snapshot.columns == {"a": (5, None), "b": ("x", "y")}
+        hashed, ordered = snapshot.indexes["idx_t_b"], snapshot.indexes["idx_t_a"]
+        assert hashed._buckets == {"x": (0,), "y": (1,)} and hashed._null_row_ids == ()
+        assert (ordered._keys, ordered._row_ids, ordered._null_row_ids) == ((5,), (0,), (1,))
+
+    def test_writers_never_touch_the_published_version(self):
+        versioned = make_versioned([{"a": 1, "b": 2}])
+        versioned.create_index(Index(name="idx_t_h", table="t", column="a", kind="hash"))
+        before = versioned.snapshot()
+        columns = dict(before.columns)
+        buckets = dict(before.indexes["idx_t_h"]._buckets)
+        versioned.append_rows([{"a": 1, "b": 3}])
+        versioned.create_index(self.ordered_meta())
+        versioned.drop_index("idx_t_h")
+        assert all(before.columns[name] is values for name, values in columns.items())
+        assert before.columns == {"a": (1,), "b": (2,)}
+        assert before.indexes["idx_t_h"]._buckets == buckets == {1: (0,)}
+        assert list(versioned.snapshot().indexes["idx_t_a"].lookup(1)) == [0, 1]
+        with pytest.raises(AttributeError):
+            before.append_rows([{"a": 9, "b": 9}])  # a sealed version cannot grow
+        assert before.row_count == 1
 
     def test_concurrent_lookups_on_unsealed_index_stay_consistent(self):
         """The sort-lock backstop: racing lazy sorts never mix key/row-id halves."""
@@ -152,7 +179,7 @@ class TestPublishedSnapshotsAreSealed:
                 try:
                     start.wait()
                     for key in (0, 250, 500, 750, 999):
-                        assert index.lookup(key) == [999 - key], key
+                        assert list(index.lookup(key)) == [999 - key], key
                 except Exception as error:  # noqa: BLE001
                     errors.append(error)
 

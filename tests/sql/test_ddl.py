@@ -357,7 +357,7 @@ class TestCreateIndexBinding:
         conn.execute("CREATE INDEX idx_hash ON t (a) USING HASH")
         stored = conn.database.store["t"]
         assert stored.index("idx_hash").kind == "hash"
-        assert stored.index("idx_hash").lookup(2) == [1]
+        assert list(stored.index("idx_hash").lookup(2)) == [1]
 
 
 class TestUniqueIndexSql:

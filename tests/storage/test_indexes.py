@@ -15,23 +15,23 @@ class TestHashIndex:
     def test_point_lookup_row_id_order(self):
         index = HashIndex(meta("hash"))
         index.insert_values([5, 3, 5, None, 3, 5], 0)
-        assert index.lookup(5) == [0, 2, 5]
-        assert index.lookup(3) == [1, 4]
-        assert index.lookup(99) == []
+        assert list(index.lookup(5)) == [0, 2, 5]
+        assert list(index.lookup(3)) == [1, 4]
+        assert list(index.lookup(99)) == []
 
     def test_null_probe_matches_null_rows(self):
         """Join-probe semantics: a NULL probe key matches NULL build keys,
         exactly like the engines' hash joins."""
         index = HashIndex(meta("hash"))
         index.insert_values([1, None, 2, None], 0)
-        assert index.lookup(None) == [1, 3]
+        assert list(index.lookup(None)) == [1, 3]
 
     def test_incremental_insert_offsets(self):
         index = HashIndex(meta("hash"))
         index.insert_values([1, 2], 0)
         index.insert_values([2, 1], 2)
-        assert index.lookup(1) == [0, 3]
-        assert index.lookup(2) == [1, 2]
+        assert list(index.lookup(1)) == [0, 3]
+        assert list(index.lookup(2)) == [1, 2]
 
     def test_entry_and_null_counts(self):
         index = HashIndex(meta("hash"))
@@ -44,8 +44,8 @@ class TestHashIndex:
         sequential scan."""
         index = HashIndex(meta("hash"))
         index.insert_values([1, 2.0], 0)
-        assert index.lookup(1.0) == [0]
-        assert index.lookup(2) == [1]
+        assert list(index.lookup(1.0)) == [0]
+        assert list(index.lookup(2)) == [1]
 
     def test_no_range_support(self):
         assert HashIndex(meta("hash")).supports_range is False
@@ -59,33 +59,33 @@ class TestOrderedIndex:
 
     def test_point_lookup(self):
         index = self.build([30, 10, 20, 10, None])
-        assert index.lookup(10) == [1, 3]
-        assert index.lookup(30) == [0]
-        assert index.lookup(11) == []
-        assert index.lookup(None) == [4]
+        assert list(index.lookup(10)) == [1, 3]
+        assert list(index.lookup(30)) == [0]
+        assert list(index.lookup(11)) == []
+        assert list(index.lookup(None)) == [4]
 
     def test_range_inclusive_exclusive_bounds(self):
         index = self.build([1, 2, 3, 4, 5])
-        assert index.range(2, True, 4, True) == [1, 2, 3]
-        assert index.range(2, False, 4, True) == [2, 3]
-        assert index.range(2, True, 4, False) == [1, 2]
-        assert index.range(2, False, 4, False) == [2]
+        assert list(index.range(2, True, 4, True)) == [1, 2, 3]
+        assert list(index.range(2, False, 4, True)) == [2, 3]
+        assert list(index.range(2, True, 4, False)) == [1, 2]
+        assert list(index.range(2, False, 4, False)) == [2]
 
     def test_open_sided_ranges(self):
         index = self.build([5, 1, 3])
-        assert index.range(None, True, 3, True) == [1, 2]
-        assert index.range(3, True, None, True) == [2, 0]
-        assert index.range(None, True, None, True) == [1, 2, 0]
+        assert list(index.range(None, True, 3, True)) == [1, 2]
+        assert list(index.range(3, True, None, True)) == [2, 0]
+        assert list(index.range(None, True, None, True)) == [1, 2, 0]
 
     def test_range_key_order_with_row_id_tiebreak(self):
         index = self.build([2, 1, 2, 1])
         # key order, ties resolved by stored position
-        assert index.range(1, True, 2, True) == [1, 3, 0, 2]
+        assert list(index.range(1, True, 2, True)) == [1, 3, 0, 2]
 
     def test_empty_range(self):
         index = self.build([1, 2, 3])
-        assert index.range(5, True, 9, True) == []
-        assert index.range(3, False, 3, True) == []
+        assert list(index.range(5, True, 9, True)) == []
+        assert list(index.range(3, False, 3, True)) == []
 
     def test_ordered_iteration_nulls_last(self):
         index = self.build([None, 3, 1, None, 2])
@@ -95,8 +95,8 @@ class TestOrderedIndex:
     def test_lazy_resort_after_append(self):
         index = self.build([3, 1])
         index.insert_values([2, 0], 2)
-        assert index.range(0, True, 2, True) == [3, 1, 2]
-        assert index.lookup(3) == [0]
+        assert list(index.range(0, True, 2, True)) == [3, 1, 2]
+        assert list(index.lookup(3)) == [0]
 
     def test_counts(self):
         index = self.build([1, None, 2])
@@ -106,7 +106,7 @@ class TestOrderedIndex:
 
     def test_string_keys(self):
         index = self.build(["beta", "alpha", "gamma"])
-        assert index.range("alpha", True, "beta", True) == [1, 0]
+        assert list(index.range("alpha", True, "beta", True)) == [1, 0]
 
 
 class TestBuildAndSelect:

@@ -18,7 +18,7 @@ class TestIndexLifecycle:
     def test_create_index_builds_from_existing_rows(self):
         table = make_table()
         index = table.create_index(Index("idx_k", "t", "k"))
-        assert index.lookup(2) == [1]
+        assert list(index.lookup(2)) == [1]
         assert table.index("idx_k") is index
 
     def test_append_maintains_every_index(self):
@@ -26,8 +26,8 @@ class TestIndexLifecycle:
         ordered = table.create_index(Index("idx_k", "t", "k"))
         hashed = table.create_index(Index("idx_v", "t", "v", kind="hash"))
         table.append_rows([{"k": 0, "v": 20}, {"k": 3, "v": None}])
-        assert ordered.range(0, True, 1, True) == [2, 0]
-        assert hashed.lookup(20) == [1, 2]
+        assert list(ordered.range(0, True, 1, True)) == [2, 0]
+        assert list(hashed.lookup(20)) == [1, 2]
         assert hashed.null_count == 1
         assert table.row_count == 4
 
@@ -71,7 +71,7 @@ class TestAdoption:
         assert adopted.columns["k"] is source.columns["k"]
         assert adopted.row_count == 2
         adopted.create_index(Index("idx_k", "t", "k"))
-        assert adopted.index("idx_k").lookup(1) == [0]
+        assert list(adopted.index("idx_k").lookup(1)) == [0]
 
 
 class TestUniqueEnforcement:
@@ -82,7 +82,7 @@ class TestUniqueEnforcement:
             table.append_rows([{"k": 1, "v": 99}])
         # the failed append left nothing behind
         assert table.row_count == 2
-        assert table.index("idx_k").lookup(1) == [0]
+        assert list(table.index("idx_k").lookup(1)) == [0]
 
     def test_unique_index_rejects_in_batch_duplicates(self):
         table = make_table()
