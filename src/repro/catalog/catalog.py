@@ -73,33 +73,20 @@ class Catalog:
     # -- statistics maintenance -------------------------------------------
 
     def analyze_table(
-        self,
-        table: str,
-        rows: Sequence[Mapping[str, object]],
-        bucket_count: int = 16,
+        self, table: str, rows: Sequence[Mapping[str, object]]
     ) -> TableStats:
-        """(Re)build a table's statistics — row count and histograms — from rows."""
-        schema_table = self.schema.table(table)
-        stats = TableStats.from_rows(
-            rows, columns=schema_table.column_names, bucket_count=bucket_count
-        )
-        self._stats[table] = stats
-        self._bump_table(table)
-        return stats
+        """(Re)build a table's statistics — row count and histograms — from
+        row dicts (pivoted into columns for :meth:`analyze_columns`)."""
+        names = self.schema.table(table).column_names
+        columns = {name: [row.get(name) for row in rows] for name in names}
+        return self.analyze_columns(table, columns, len(rows))
 
     def analyze_columns(
-        self,
-        table: str,
-        columns: Mapping[str, Iterable[object]],
-        row_count: int,
-        bucket_count: int = 16,
+        self, table: str, columns: Mapping[str, Iterable[object]], row_count: int
     ) -> TableStats:
-        """:meth:`analyze_table` over column arrays instead of row dicts."""
+        """(Re)build a table's statistics from column arrays (name → values)."""
         stats = TableStats.from_columns(
-            columns,
-            row_count,
-            column_names=self.schema.table(table).column_names,
-            bucket_count=bucket_count,
+            columns, row_count, column_names=self.schema.table(table).column_names
         )
         self._stats[table] = stats
         self._bump_table(table)

@@ -255,8 +255,6 @@ def build_index(meta: Index, values: Sequence[object]) -> "PhysicalIndex":
     else:  # pragma: no cover - Index.__post_init__ validates kinds
         raise ValueError(f"unknown index kind {meta.kind!r}")
     index.insert_values(values, 0)
-    if isinstance(index, OrderedIndex):
-        index._sorted_arrays()  # sort now; sealing is the publisher's job
     return index
 
 

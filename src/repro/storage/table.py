@@ -23,7 +23,7 @@ from repro.storage.indexes import PhysicalIndex, build_index, select_index
 class StoredTable(ColumnTable):
     """A stored base table: column arrays plus maintained physical indexes."""
 
-    __slots__ = ("indexes",)
+    __slots__ = ("indexes", "sealed")
 
     def __init__(
         self,
@@ -33,6 +33,8 @@ class StoredTable(ColumnTable):
         super().__init__(columns, row_count)
         #: index name → physical structure (each carries its schema ``meta``).
         self.indexes: Dict[str, PhysicalIndex] = {}
+        #: set by :meth:`seal`; a sealed table refuses appends.
+        self.sealed = False
 
     # -- construction ----------------------------------------------------
 
@@ -98,21 +100,25 @@ class StoredTable(ColumnTable):
         return self.indexes.pop(name, None) is not None
 
     def seal(self) -> None:
-        """Make this table immutable in fact, ready to be published.
+        """Make this table read-only, ready to be published.
 
         Every index runs its deferred maintenance (the ordered indexes' lazy
         sort) and freezes its row-id containers; list-backed columns become
-        tuples.  The versioned store calls this under the table write lock
-        before publishing a version, so a published snapshot never mutates
-        itself under concurrent readers, and holds its data in containers
-        CPython's cyclic GC does not traverse (tuples of atomic values are
-        untracked, typed buffers hold no Python objects), so a loaded table
-        adds little to a full collection.  Writers are unaffected:
-        :meth:`copy_for_write` copies into fresh lists.
+        tuples.  Typed buffers stay the mutable buffers they are, so the
+        table is marked :attr:`sealed` and :meth:`append_rows` refuses up
+        front, before any column changes.  The versioned store calls this
+        under the table write lock before publishing a version, so a
+        published snapshot never mutates itself under concurrent readers,
+        and holds its data in containers CPython's cyclic GC does not
+        traverse (tuples of atomic values are untracked, typed buffers hold
+        no Python objects), so a loaded table adds little to a full
+        collection.  Writers are unaffected: :meth:`copy_for_write`
+        copies into fresh lists and an unsealed table.
         """
         self.freeze()
         for index in self.indexes.values():
             index.seal()
+        self.sealed = True
 
     def index(self, name: str) -> Optional[PhysicalIndex]:
         return self.indexes.get(name)
@@ -134,8 +140,14 @@ class StoredTable(ColumnTable):
         """Append row dicts, maintaining every index in the same call.
 
         Unique indexes are checked *before* any column mutates, so a
-        violation leaves the table (and every index) untouched.
+        violation leaves the table (and every index) untouched; so does
+        appending to a :meth:`sealed <seal>` table, which raises TypeError.
         """
+        if self.sealed:
+            raise TypeError(
+                "cannot append to a sealed (published) table; append to a "
+                "copy_for_write() copy instead"
+            )
         self._check_unique(rows)
         start = self.row_count
         added = super().append_rows(rows)

@@ -162,9 +162,29 @@ class TestPublishedSnapshotsAreSealed:
         assert before.columns == {"a": (1,), "b": (2,)}
         assert before.indexes["idx_t_h"]._buckets == buckets == {1: (0,)}
         assert list(versioned.snapshot().indexes["idx_t_a"].lookup(1)) == [0, 1]
-        with pytest.raises(AttributeError):
+        with pytest.raises(TypeError):
             before.append_rows([{"a": 9, "b": 9}])  # a sealed version cannot grow
         assert before.row_count == 1
+
+    @pytest.mark.parametrize("names", [["n", "x", "s"], ["n", "x"]])
+    def test_sealed_typed_columns_refuse_appends_up_front(self, names):
+        """Typed buffers stay mutable arrays after sealing, so the refusal
+        must come before any column is extended — with typed columns ahead
+        of a TEXT column, and with no TEXT column at all."""
+        kinds = {"n": "int", "x": "float"}
+        table = StoredTable.with_columns(names, kinds=kinds)
+        table.append_rows([{"n": 1, "x": 1.5, "s": "a"}])
+        versioned = VersionedTable(table)
+        versioned.create_index(Index(name="idx_t_n", table="t", column="n", kind="hash"))
+        published = versioned.snapshot()
+        before = {name: list(published.columns[name]) for name in names}
+        with pytest.raises(TypeError):
+            published.append_rows([{"n": 2, "x": 2.5, "s": "b"}])
+        assert {name: list(published.columns[name]) for name in names} == before
+        assert published.row_count == 1
+        versioned.append_rows([{"n": 2, "x": 2.5, "s": "b"}])  # writers still can
+        assert list(versioned.snapshot().columns["n"]) == [1, 2]
+        assert list(published.columns["n"]) == [1]
 
     def test_concurrent_lookups_on_unsealed_index_stay_consistent(self):
         """The sort-lock backstop: racing lazy sorts never mix key/row-id halves."""
