@@ -598,6 +598,7 @@ class Database:
                     plan_before=before_shape,
                     plan_after=after_shape,
                     deltas=[describe_delta(delta) for delta in deltas],
+                    **entry.optimization.metrics.work(),
                 )
                 if after_cost != before_cost:
                     refreshed += 1

@@ -8,8 +8,8 @@ result sets larger than the server's inline threshold are pulled through
 
 :class:`RemoteResult` mirrors the fields of
 :class:`~repro.api.database.StatementResult` that travel over the wire
-(statement kind, columns, rows, rowcount, plan text, cache flag), which is
-exactly the surface :class:`~repro.api.cursor.Cursor` consumes — the local
+(statement kind, columns, rows as tuples, rowcount, plan text, cache
+flag), which is exactly the surface :class:`~repro.api.cursor.Cursor` consumes — the local
 cursor class is reused unchanged.
 """
 
@@ -40,36 +40,41 @@ class RemoteResult:
 
     Field-compatible with the slice of
     :class:`~repro.api.database.StatementResult` the cursor layer reads;
-    ``query``/``optimization``/``execution`` stay server-side.
+    ``query``/``optimization``/``execution`` stay server-side.  Rows arrive
+    as arrays and are kept as ``tuples``; :attr:`rows` is a dict view of
+    them, built on first access.
     """
 
     statement: str
     columns: List[str] = field(default_factory=list)
-    rows: List[Row] = field(default_factory=list)
+    tuples: List[Tuple[object, ...]] = field(default_factory=list)
     rowcount: int = -1
     plan_text: Optional[str] = None
     parameter_count: int = 0
     from_cache: bool = False
     #: the server-side trace id, when the server runs with tracing on
     trace_id: Optional[str] = None
+    _rows: Optional[List[Row]] = field(default=None, init=False, repr=False, compare=False)
 
     @property
-    def tuples(self) -> List[Tuple[object, ...]]:
-        """The rows as tuples ordered like ``columns`` (what cursors fetch)."""
-        columns = self.columns
-        return [tuple(row.get(name) for name in columns) for row in self.rows]
+    def rows(self) -> List[Row]:
+        """The rows as dicts keyed by column name (a view of ``tuples``)."""
+        if self._rows is None:
+            columns = self.columns
+            self._rows = [dict(zip(columns, row)) for row in self.tuples]
+        return self._rows
 
     @property
     def row_count(self) -> int:
-        return len(self.rows)
+        return len(self.tuples)
 
     def __str__(self) -> str:
         if self.plan_text is not None:
             return self.plan_text
         header = "\t".join(self.columns)
         lines = [header] if header else []
-        for row in self.rows:
-            lines.append("\t".join(str(row.get(column)) for column in self.columns))
+        for row in self.tuples:
+            lines.append("\t".join(str(value) for value in row))
         return "\n".join(lines)
 
 
@@ -127,17 +132,17 @@ class RemoteConnection:
         return reply
 
     def _result(self, payload: dict) -> RemoteResult:
-        rows = list(payload.get("rows", []))
+        rows = [tuple(row) for row in payload.get("rows", [])]
         result_id = payload.get("result_id")
         while result_id is not None:
             chunk = self._request({"type": "fetch", "result_id": result_id})
-            rows.extend(chunk.get("rows", []))
+            rows.extend(tuple(row) for row in chunk.get("rows", []))
             if chunk.get("done"):
                 break
         return RemoteResult(
             statement=payload.get("statement", ""),
             columns=list(payload.get("columns", [])),
-            rows=rows,
+            tuples=rows,
             rowcount=payload.get("rowcount", -1),
             plan_text=payload.get("plan_text"),
             parameter_count=payload.get("parameter_count", 0),

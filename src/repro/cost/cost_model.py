@@ -213,20 +213,42 @@ class CostModel:
         produced it) names the index an indexed nested-loop join probes.  The
         one cost function every optimizer prices alternatives with.
         """
-        expression = entry.key.expression
+        left, right = entry.left, entry.right
+        return self.operator_cost(
+            entry.physical_op,
+            entry.key.expression,
+            entry.key.prop,
+            None if left is None else left.expression,
+            None if right is None else right.expression,
+            None if right is None else right.prop,
+            enumerator,
+        )
+
+    def operator_cost(
+        self,
+        operator: PhysicalOperator,
+        expression: Expression,
+        prop: PhysicalProperty,
+        left: Optional[Expression],
+        right: Optional[Expression],
+        right_prop: Optional[PhysicalProperty],
+        enumerator,
+    ) -> Tuple[float, float]:
+        """:meth:`local_cost` of an alternative given by its parts: the
+        operator, the OR node it belongs to and its children's expressions
+        (plus the inner's property, which names an indexed join's index)."""
         summary = self.summary(expression)
-        operator = entry.physical_op
         if operator.is_scan:
-            local = self.scan_cost(expression.sole_alias, operator, entry.key.prop)
+            local = self.scan_cost(expression.sole_alias, operator, prop)
         elif operator is PhysicalOperator.SORT:
             local = self.sort_enforcer_cost(summary)
         elif operator.is_join:
-            assert entry.left is not None and entry.right is not None
-            left_summary = self.summary(entry.left.expression)
-            right_summary = self.summary(entry.right.expression)
+            assert left is not None and right is not None and right_prop is not None
+            left_summary = self.summary(left)
+            right_summary = self.summary(right)
             inner_index = None
             if operator is PhysicalOperator.INDEX_NL_JOIN:
-                target = enumerator.index_scan_target(entry.right.expression, entry.right.prop)
+                target = enumerator.index_scan_target(right, right_prop)
                 if target is not None:
                     inner_index = target[1]
             local = self.join_local_cost(

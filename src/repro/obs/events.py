@@ -5,7 +5,9 @@ Two event kinds matter operationally:
 * ``reoptimization`` — one entry per cached plan that
   ``Database.refresh_cached_plans()`` re-optimized: which query, which
   operator's est-vs-observed delta triggered it, the old and new plan
-  shapes, and the cost before/after.  This makes the paper's feedback loop
+  shapes, the cost before/after, and the work the incremental pass did
+  (``events`` by kind, ``cost_evals_live``/``cost_evals_dead``, ``wall_ms``).
+  This makes the paper's feedback loop
   (observed cardinalities → incremental re-optimization → plan flip)
   visible without hand-running ``EXPLAIN ANALYZE``.
 * ``slow_query`` — statements whose wall-clock latency exceeded the

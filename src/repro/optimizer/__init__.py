@@ -21,7 +21,6 @@ from repro.optimizer.search_space import EnumerationOptions, SearchSpaceEnumerat
 from repro.optimizer.tables import (
     AndKey,
     OrKey,
-    PlanCostEntry,
     PruningConfig,
     SearchSpaceEntry,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "SearchSpaceEnumerator",
     "AndKey",
     "OrKey",
-    "PlanCostEntry",
     "PruningConfig",
     "SearchSpaceEntry",
 ]

@@ -8,30 +8,26 @@ and still participate in the optimal plan.  It is the minimum of
   parent alternative ``p`` with bound ``B`` and local cost ``l`` can tolerate
   ``B - l - BestCost(sibling)`` for this child (rules r1–r4 of the paper).
 
-The :class:`BoundsManager` stores the current bound per OR node, a
-:class:`~repro.datalog.aggregates.GroupedMaxAggregate` of parent contributions
-(so removing one parent recovers the next-loosest bound), and reports every
-bound change so the optimizer can prune or re-introduce plans incrementally.
+The :class:`BoundsManager` stores the current bound per OR node and every
+parent contribution, grouped by child, with the group's maximum cached (so
+removing one parent recovers the next-loosest bound by a rescan of that
+group), and reports every bound change so the optimizer can prune or
+re-introduce plans incrementally.  Keys are opaque: the declarative
+optimizer passes OR ids for children and ``2 * and_id + side`` for
+contributions, so the state holds only ints and floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-from repro.datalog.aggregates import GroupedMaxAggregate
-from repro.optimizer.tables import AndKey, OrKey
+from typing import Dict, Hashable, NamedTuple, Optional
 
 INFINITY = float("inf")
 
-ContributionKey = Tuple[AndKey, str]  # (parent alternative, "left" | "right")
 
-
-@dataclass(frozen=True)
-class BoundChange:
+class BoundChange(NamedTuple):
     """A change to one OR node's bound value."""
 
-    or_key: OrKey
+    or_key: Hashable
     old_bound: float
     new_bound: float
 
@@ -48,26 +44,27 @@ class BoundsManager:
     """Incrementally maintained branch-and-bound limits per OR node."""
 
     def __init__(self) -> None:
-        self._contributions: GroupedMaxAggregate[OrKey, ContributionKey] = GroupedMaxAggregate()
-        self._contribution_values: Dict[ContributionKey, Tuple[OrKey, float]] = {}
-        self._best_costs: Dict[OrKey, float] = {}
-        self._bounds: Dict[OrKey, float] = {}
+        # child -> {contribution key: value}, and the maximum of each group
+        self._contributions: Dict[Hashable, Dict[Hashable, float]] = {}
+        self._max_contribution: Dict[Hashable, float] = {}
+        self._child_of: Dict[Hashable, Hashable] = {}
+        self._best_costs: Dict[Hashable, float] = {}
+        self._bounds: Dict[Hashable, float] = {}
 
     # -- reads ------------------------------------------------------------
 
-    def bound(self, or_key: OrKey) -> float:
+    def bound(self, or_key: Hashable) -> float:
         return self._bounds.get(or_key, INFINITY)
 
-    def best_cost(self, or_key: OrKey) -> float:
+    def best_cost(self, or_key: Hashable) -> float:
         return self._best_costs.get(or_key, INFINITY)
 
-    def max_parent_bound(self, or_key: OrKey) -> float:
-        value = self._contributions.value(or_key)
-        return INFINITY if value is None else value
+    def max_parent_bound(self, or_key: Hashable) -> float:
+        return self._max_contribution.get(or_key, INFINITY)
 
     # -- updates ------------------------------------------------------------
 
-    def update_best_cost(self, or_key: OrKey, value: Optional[float]) -> Optional[BoundChange]:
+    def update_best_cost(self, or_key: Hashable, value: Optional[float]) -> Optional[BoundChange]:
         """Record a new BestCost for an OR node (None clears it)."""
         if value is None:
             self._best_costs.pop(or_key, None)
@@ -76,58 +73,74 @@ class BoundsManager:
         return self._recompute(or_key)
 
     def set_contribution(
-        self,
-        child: OrKey,
-        parent: AndKey,
-        side: str,
-        value: Optional[float],
+        self, child: Hashable, key: Hashable, value: Optional[float]
     ) -> Optional[BoundChange]:
-        """Set / update / remove one parent alternative's bound contribution."""
-        key: ContributionKey = (parent, side)
-        existing = self._contribution_values.get(key)
+        """Set / update / remove one parent contribution to *child*'s bound.
+
+        *key* names the contribution: one parent alternative and the side
+        the child sits on.
+        """
+        old_child = self._child_of.get(key)
         if value is None:
-            if existing is None:
+            if old_child is None:
                 return None
-            old_child, old_value = existing
-            del self._contribution_values[key]
-            self._contributions.delete(old_child, old_value, key)
+            self._remove(old_child, key)
             return self._recompute(old_child)
-        if existing is None:
-            self._contribution_values[key] = (child, value)
-            self._contributions.insert(child, value, key)
+        if old_child is None:
+            self._add(child, key, value)
             return self._recompute(child)
-        old_child, old_value = existing
-        if old_child == child and old_value == value:
-            return None
         if old_child == child:
-            self._contribution_values[key] = (child, value)
-            self._contributions.update(child, old_value, value, key)
+            old_value = self._contributions[child][key]
+            if old_value == value:
+                return None
+            self._replace(child, key, old_value, value)
             return self._recompute(child)
         # The contribution moved to a different child group (should not happen
         # for a fixed search space, but handle it for safety).
-        self._contributions.delete(old_child, old_value, key)
-        self._contribution_values[key] = (child, value)
-        self._contributions.insert(child, value, key)
+        self._remove(old_child, key)
+        self._add(child, key, value)
         first = self._recompute(old_child)
         second = self._recompute(child)
         return second if second is not None else first
 
-    def remove_parent(self, parent: AndKey) -> List[BoundChange]:
-        """Remove both contributions of a parent alternative (it was pruned)."""
-        changes: List[BoundChange] = []
-        for side in ("left", "right"):
-            change = self.set_contribution(
-                OrKey(parent.expression, parent.prop), parent, side, None
-            )
-            if change is not None:
-                changes.append(change)
-        return changes
-
     # -- internals ------------------------------------------------------------
 
-    def _recompute(self, or_key: OrKey) -> Optional[BoundChange]:
+    def _add(self, child: Hashable, key: Hashable, value: float) -> None:
+        group = self._contributions.get(child)
+        if group is None:
+            self._contributions[child] = {key: value}
+            self._max_contribution[child] = value
+        else:
+            group[key] = value
+            if value > self._max_contribution[child]:
+                self._max_contribution[child] = value
+        self._child_of[key] = child
+
+    def _replace(self, child: Hashable, key: Hashable, old_value: float, value: float) -> None:
+        group = self._contributions[child]
+        group[key] = value
+        peak = self._max_contribution[child]
+        if value >= peak:
+            self._max_contribution[child] = value
+        elif old_value == peak:
+            self._max_contribution[child] = max(group.values())
+
+    def _remove(self, child: Hashable, key: Hashable) -> None:
+        group = self._contributions[child]
+        old_value = group.pop(key)
+        del self._child_of[key]
+        if not group:
+            del self._contributions[child]
+            del self._max_contribution[child]
+        elif old_value == self._max_contribution[child]:
+            self._max_contribution[child] = max(group.values())
+
+    def _recompute(self, or_key: Hashable) -> Optional[BoundChange]:
         old_bound = self._bounds.get(or_key, INFINITY)
-        new_bound = min(self.best_cost(or_key), self.max_parent_bound(or_key))
+        new_bound = min(
+            self._best_costs.get(or_key, INFINITY),
+            self._max_contribution.get(or_key, INFINITY),
+        )
         if new_bound == old_bound:
             return None
         if new_bound == INFINITY:
@@ -135,6 +148,3 @@ class BoundsManager:
         else:
             self._bounds[or_key] = new_bound
         return BoundChange(or_key, old_bound, new_bound)
-
-    def snapshot(self) -> Dict[OrKey, float]:
-        return dict(self._bounds)

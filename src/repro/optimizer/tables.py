@@ -4,8 +4,11 @@ The paper's optimizer state consists of a handful of relations (Figure 1):
 ``SearchSpace`` (AND nodes: physical alternatives), ``PlanCost`` (costed
 alternatives), ``BestCost`` / ``BestPlan`` (OR nodes: the cheapest alternative
 per expression-property pair) and ``Bound`` (branch-and-bound limits).  This
-module defines the tuple types of those relations and the pruning
-configuration that controls which of the paper's three techniques are active.
+module defines the keys and rows of those relations as the optimizer shows
+them to its callers, and the pruning configuration that controls which of
+the paper's three techniques are active.  Inside, the declarative optimizer
+keys the same relations by dense int ids (see ``declarative.py``); these
+value types appear only at its API boundary.
 """
 
 from __future__ import annotations
@@ -83,35 +86,6 @@ class SearchSpaceEntry:
     def __str__(self) -> str:
         children = ", ".join(str(child) for child in self.children())
         return f"{self.key} {self.physical_op.value}({children})"
-
-
-@dataclass(frozen=True)
-class PlanCostEntry:
-    """One row of ``PlanCost``: a costed physical alternative."""
-
-    key: AndKey
-    local_cost: float
-    total_cost: float
-    left_cost: float = 0.0
-    right_cost: float = 0.0
-    cardinality: float = 0.0
-
-    def with_costs(
-        self,
-        local_cost: float,
-        total_cost: float,
-        left_cost: float,
-        right_cost: float,
-        cardinality: float,
-    ) -> "PlanCostEntry":
-        return PlanCostEntry(
-            key=self.key,
-            local_cost=local_cost,
-            total_cost=total_cost,
-            left_cost=left_cost,
-            right_cost=right_cost,
-            cardinality=cardinality,
-        )
 
 
 @dataclass(frozen=True)

@@ -23,14 +23,10 @@ class DataType(Enum):
 
     @property
     def width_bytes(self) -> int:
-        """Approximate on-disk width used by the I/O cost model."""
-        widths = {
-            DataType.INTEGER: 8,
-            DataType.FLOAT: 8,
-            DataType.STRING: 32,
-            DataType.DATE: 8,
-        }
-        return widths[self]
+        """Approximate on-disk width used by the I/O cost model: 32 bytes for
+        a string, 8 for every other type.  (An identity test, not a lookup:
+        the cost model asks for every column of every relation it sizes.)"""
+        return 32 if self is DataType.STRING else 8
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ Client → server frames (``type`` field):
 * ``execute`` — ``{"type": "execute", "statement_id": ..., "params": [...]}``:
   run a prepared statement;
 * ``fetch`` — ``{"type": "fetch", "result_id": ..., "limit": n}``: page
-  through a result set larger than the server's inline-row threshold;
+  through a result set larger than the server's inline-row threshold
+  (the ``rows`` frame that answers it carries arrays, like ``result``);
 * ``script`` — run a ``;``-separated script, returning every result;
 * ``tables`` / ``stats`` / ``refresh`` — introspection and an explicit
   incremental re-optimization pass (the remote REPL's meta commands);
@@ -25,7 +26,8 @@ Client → server frames (``type`` field):
   re-optimization/slow-query event log.
 
 Server → client frames: ``hello`` (session id, sent once on connect),
-``result``, ``prepared``, ``rows``, ``results``, ``tables``, ``stats``,
+``result`` (``columns`` once, then ``rows`` as arrays of values ordered like
+them), ``prepared``, ``rows``, ``results``, ``tables``, ``stats``,
 ``refreshed``, ``metrics``, ``traces``, ``events`` and ``error``.  An
 ``error`` frame carries the exception class name, the bare message, the
 1-based ``(line, column)`` position and the source text, so the client
@@ -156,14 +158,16 @@ def _recv_exactly(
 def result_payload(result) -> Dict[str, object]:
     """A :class:`~repro.api.database.StatementResult` as a JSON-safe dict.
 
-    Rows are included verbatim (the caller decides whether to spill large
-    sets behind a ``result_id`` + ``fetch`` paging instead).
+    The column names travel once; each row is a JSON array of values ordered
+    like them (the result's ``tuples``, which JSON encodes as arrays).  Rows
+    are included verbatim (the caller decides whether to spill large sets
+    behind a ``result_id`` + ``fetch`` paging instead).
     """
     return {
         "type": "result",
         "statement": result.statement,
         "columns": list(result.columns),
-        "rows": list(result.rows),
+        "rows": list(result.tuples),
         "rowcount": result.rowcount,
         "plan_text": result.plan_text,
         "parameter_count": result.parameter_count,

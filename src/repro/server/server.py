@@ -27,7 +27,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.database import Database, StatementResult
 from repro.common.errors import ReproError, SqlError
@@ -56,7 +56,7 @@ class _ClientState:
     def __init__(self, session: str) -> None:
         self.session = session
         self.prepared: Dict[int, str] = {}
-        self.spools: Dict[int, Tuple[List[dict], int]] = {}
+        self.spools: Dict[int, Tuple[List[Sequence[object]], int]] = {}
         self._next_statement = 0
         self._next_spool = 0
 
@@ -65,7 +65,7 @@ class _ClientState:
         self.prepared[self._next_statement] = sql
         return self._next_statement
 
-    def register_spool(self, rows: List[dict]) -> int:
+    def register_spool(self, rows: List[Sequence[object]]) -> int:
         self._next_spool += 1
         self.spools[self._next_spool] = (rows, 0)
         return self._next_spool

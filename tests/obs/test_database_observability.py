@@ -193,6 +193,17 @@ class TestReoptimizationEvents:
         counters = database.metrics_registry.to_dict()["counters"]
         assert counters["repro_reoptimizations_total"]["values"][""] >= 1
 
+    def test_refresh_event_carries_the_work_done(self):
+        database = _seeded_database()
+        _grow_stale(database)
+        database.execute(JOIN)
+        database.refresh_cached_plans()
+        event = database.events(kind="reoptimization")[-1]
+        assert set(event["events"]) == {"explore", "cost", "best_changed", "bound_changed"}
+        assert event["events"]["cost"] >= event["cost_evals_live"] + event["cost_evals_dead"]
+        assert event["cost_evals_live"] + event["cost_evals_dead"] > 0
+        assert event["wall_ms"] > 0.0
+
     def test_refresh_without_observations_records_nothing(self):
         database = _seeded_database()
         database.refresh_cached_plans()

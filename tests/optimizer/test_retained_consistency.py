@@ -13,6 +13,7 @@ cost above the from-scratch cost.
 import pytest
 
 from repro.optimizer.baselines.volcano import VolcanoOptimizer
+from repro.optimizer.check import check_fixpoint
 from repro.optimizer.declarative import DeclarativeOptimizer
 from repro.optimizer.tables import PruningConfig
 from repro.workloads.queries import q5_expression_chain, q5s
@@ -26,21 +27,8 @@ CONFIGS = {
 
 def assert_retained_costs_consistent(optimizer: DeclarativeOptimizer) -> None:
     """Every stored plan cost must match a recomputation from current state."""
-    for state in optimizer._or_states.values():
-        for entry in state.alternatives.values():
-            stored = optimizer._plan_costs.get(entry.key)
-            if stored is None:
-                continue
-            child_bests = [optimizer._best.value(child) for child in entry.children()]
-            if any(best is None for best in child_bests):
-                continue
-            local, _ = optimizer.cost_model.local_cost(entry, optimizer.enumerator)
-            expected = optimizer.cost_model.combine(local, *child_bests)
-            assert stored.total_cost == pytest.approx(expected, rel=1e-9), (
-                f"retained cost of {entry.key} is stale: "
-                f"stored {stored.total_cost}, recomputed {expected} "
-                f"(alive={state.alive})"
-            )
+    violations = check_fixpoint(optimizer)
+    assert not violations, "\n".join(str(violation) for violation in violations)
 
 
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))

@@ -9,11 +9,17 @@ import threading
 
 import pytest
 
+from repro.api.connection import Connection
 from repro.api.database import Database
 from repro.client import connect
 from repro.common.errors import SqlBindingError, SqlError, SqlSyntaxError
 from repro.server import start_server_thread
-from repro.server.protocol import encode_frame, error_payload, raise_error_payload
+from repro.server.protocol import (
+    encode_frame,
+    error_payload,
+    raise_error_payload,
+    result_payload,
+)
 
 
 @pytest.fixture()
@@ -101,6 +107,63 @@ class TestQueryRoundTrip:
         assert len(results[0].rows) == 1300
         assert sorted(row["sbig.n"] for row in results[0].rows) == list(range(1300))
         assert results[1].rows == [{"count(*)": 1300}]
+
+
+class TestRowsAsArrays:
+    """Rows cross the wire as arrays under one list of column names; what a
+    remote cursor fetches must equal what a local one fetches."""
+
+    INLINE_ROWS = 100
+
+    @pytest.fixture()
+    def typed(self):
+        database = Database()
+        database.execute_script(
+            "CREATE TABLE d (k INTEGER, day DATE, x FLOAT, s TEXT);"
+            "INSERT INTO d VALUES (1, 9204, 0.1, NULL), (2, NULL, NULL, 'b'),"
+            " (3, 8000, 1e300, 'c'), (4, 0, -2.5e-7, '');"
+            "CREATE TABLE many (n INTEGER, f FLOAT)"
+        )
+        values = ", ".join(f"({n}, {n / 7})" for n in range(250))
+        database.execute(f"INSERT INTO many VALUES {values}")
+        handle = start_server_thread(database, inline_rows=self.INLINE_ROWS)
+        yield database, handle.address
+        handle.stop()
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT k, day, x, s FROM d ORDER BY k",
+            "SELECT s, x FROM d WHERE x IS NULL OR s IS NULL ORDER BY k",
+            "SELECT k FROM d WHERE k > 100",
+            "SELECT n, f FROM many ORDER BY n",
+        ],
+        ids=["nulls-floats-dates", "nulls-only", "empty", "paged"],
+    )
+    def test_remote_fetchall_equals_local(self, typed, sql):
+        database, (host, port) = typed
+        local = Connection(database).execute(sql).fetchall()
+        with connect(host, port) as conn:
+            remote = conn.execute(sql).fetchall()
+        assert remote == local
+        assert [type(value) for row in remote for value in row] == [
+            type(value) for row in local for value in row
+        ]
+
+    def test_paged_result_keeps_rows_and_dict_view(self, typed):
+        _, (host, port) = typed
+        with connect(host, port) as conn:
+            result = conn._execute("SELECT n, f FROM many ORDER BY n", None)
+        assert len(result.tuples) == 250 > self.INLINE_ROWS
+        assert result.tuples[0] == (0, 0.0)
+        assert result.rows[249] == {"many.n": 249, "many.f": 249 / 7}
+
+    def test_result_frame_sends_column_names_once(self, typed):
+        database, _ = typed
+        payload = result_payload(database.execute("SELECT k, s FROM d ORDER BY k"))
+        assert payload["columns"] == ["d.k", "d.s"]
+        assert payload["rows"][:2] == [(1, None), (2, "b")]
+        assert b'"d.k"' not in encode_frame(payload).split(b'"rows"')[1]
 
 
 class TestPreparedStatements:
